@@ -18,7 +18,7 @@ from typing import Union
 import mpmath
 
 from .conditional_counts import snk_dp
-from .exact_null import CONVENTIONS, TAILS, critical_value, null_table_by_counting
+from .exact_null import rejection_region
 
 INTERNAL_DPS = 50
 
@@ -41,9 +41,7 @@ class AlternativeSpec:
     @classmethod
     def direct(cls, p: Fraction | float | str) -> "AlternativeSpec":
         """p given directly; rationals (including decimal strings) stay exact."""
-        if not isinstance(p, (Fraction, mpmath.mpf)):
-            p = Fraction(str(p)) if isinstance(p, str) else Fraction(p)
-        return cls(p=p, origin="direct")
+        return cls(p=as_prob(p), origin="direct")
 
     @classmethod
     def gaussian_shift(cls, c: float, sigma: float) -> "AlternativeSpec":
@@ -74,27 +72,33 @@ def p_from_gaussian_shift(c: float, sigma: float) -> mpmath.mpf:
         return mpmath.ncdf(mpmath.mpf(c) / mpmath.mpf(sigma))
 
 
-def alt_cdf(n: int, x: int, spec: AlternativeSpec) -> Prob:
-    """Pr(L_n <= x) under the alternative."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= x <= n:
-        raise ValueError("x must lie in 0..n")
-    if x == 0:
-        return Fraction(0) if isinstance(spec.p, Fraction) else mpmath.mpf(0)
-    counts = snk_dp(n, x).counts
-    p = spec.p
+def as_prob(p: Prob | float | str) -> Prob:
+    """p as a Fraction or an mpf; a str or float is read as an exact rational."""
+    return p if isinstance(p, mpmath.mpf) else Fraction(p)
+
+
+def mixture(counts: tuple[int, ...], p: Prob) -> Prob:
+    """sum_k counts[k] p^k (1-p)^(n-k) over k = 0..n; an mpf p is summed at INTERNAL_DPS."""
+    n = len(counts) - 1
     if isinstance(p, Fraction):
-        q = 1 - p
-        return sum(
-            counts[k] * p**k * q ** (n - k) for k in range(n + 1) if counts[k]
-        )
+        a, b = p.numerator, p.denominator
+        return Fraction(sum(c * a**k * (b - a) ** (n - k) for k, c in enumerate(counts) if c), b**n)
     with mpmath.workdps(INTERNAL_DPS):
         p = mpmath.mpf(p)
         q = 1 - p
         return mpmath.fsum(
             counts[k] * p**k * q ** (n - k) for k in range(n + 1) if counts[k]
         )
+
+
+def alt_cdf(n: int, x: int, spec: AlternativeSpec) -> Prob:
+    """Pr(L_n <= x) under the alternative."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0 <= x <= n:
+        raise ValueError("x must lie in 0..n")
+    counts = snk_dp(n, x).counts if x else (0,)  # L_n >= 1 always
+    return mixture(counts, spec.p)
 
 
 def power(
@@ -104,42 +108,26 @@ def power(
     convention: str,
     spec: AlternativeSpec,
 ) -> PowerResult:
-    """Exact rejection probability of the longest-run test under the alternative."""
-    alpha = Fraction(alpha)
-    if tail not in TAILS:
-        raise ValueError(f"unknown tail {tail!r}")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    if tail == "unilateral":
-        cv = critical_value(n, alpha, convention)
-        pw = 1 - alt_cdf(n, min(cv.c, n), spec)
-        region = f"L > {cv.c}"
-    else:
-        lo = critical_value(n, 1 - alpha / 2, convention)
-        hi = critical_value(n, alpha / 2, convention)
-        pw = alt_cdf(n, min(lo.c - 1, n), spec) if lo.c >= 1 else (
-            Fraction(0) if isinstance(spec.p, Fraction) else mpmath.mpf(0)
-        )
-        pw = pw + (1 - alt_cdf(n, min(hi.c, n), spec))
-        region = f"L < {lo.c} or L > {hi.c}"
+    """Exact rejection probability of the longest-run test under the alternative.
+
+    An mpf power carries INTERNAL_DPS digits whatever the caller's precision.
+    """
+    region = rejection_region(n, alpha, tail, convention)
+    with mpmath.workdps(INTERNAL_DPS):
+        pw = 1 - alt_cdf(n, region.upper.c, spec)
+        if region.lower is not None:
+            pw += alt_cdf(n, max(region.lower.c - 1, 0), spec)
     return PowerResult(
         n=n,
-        alpha=alpha,
+        alpha=Fraction(alpha),
         tail=tail,
         convention=convention,
         spec=spec,
         power=pw,
-        critical_region=region,
+        critical_region=str(region),
     )
 
 
 def attained_size(n: int, alpha: Fraction | float | str, tail: str, convention: str) -> Fraction:
     """Exact null probability of the configured rejection region."""
-    alpha = Fraction(alpha)
-    table = null_table_by_counting(n)
-    if tail == "unilateral":
-        cv = critical_value(n, alpha, convention)
-        return table.sf(cv.c)
-    lo = critical_value(n, 1 - alpha / 2, convention)
-    hi = critical_value(n, alpha / 2, convention)
-    return table.cdf(lo.c - 1) + table.sf(hi.c)
+    return rejection_region(n, alpha, tail, convention).size

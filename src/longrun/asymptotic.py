@@ -10,60 +10,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
-from .alternative import INTERNAL_DPS, AlternativeSpec, Prob, alt_cdf
-from .conditional_counts import CountTable
-from functools import lru_cache
+from .alternative import INTERNAL_DPS, AlternativeSpec, Prob, alt_cdf, as_prob, mixture
+from .conditional_counts import CountTable, counts_by_ones
 
 
 @lru_cache(maxsize=None)
 def plus_run_counts(n: int, x: int) -> CountTable:
     """Counts by k of length-n sequences whose longest run of ONES is <= x.
 
-    Zero-runs are unconstrained.  DP state: (ones used, length of the
-    trailing run of ones, capped at x).
+    Zero-runs are unconstrained.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if x < 0:
         raise ValueError("x must be >= 0")
-    # cur[(k, r)] = count, r = trailing ones-run length
-    cur: dict[tuple[int, int], int] = {(0, 0): 1}
-    if x >= 1:
-        cur[(1, 1)] = 1
-    for _ in range(n - 1):
-        nxt: dict[tuple[int, int], int] = {}
-        for (k, r), c in cur.items():
-            key = (k, 0)  # append a zero
-            nxt[key] = nxt.get(key, 0) + c
-            if r + 1 <= x:  # append a one
-                key = (k + 1, r + 1)
-                nxt[key] = nxt.get(key, 0) + c
-        cur = nxt
-    counts = [0] * (n + 1)
-    for (k, _), c in cur.items():
-        counts[k] += c
-    return CountTable(n=n, x=x, counts=tuple(counts), engine="plus_run_dp")
+    return CountTable(n=n, x=x, counts=counts_by_ones(n, x, n), engine="plus_run_dp")
 
 
-def plus_run_cdf(n: int, k: int, p: Prob | float) -> Prob:
+def plus_run_cdf(n: int, k: int, p: Prob | float | str) -> Prob:
     """Pr(longest run of ones <= k) when each bit is one with probability p."""
     if not 0 <= k <= n:
         raise ValueError("k must lie in 0..n")
-    if not isinstance(p, (Fraction, mpmath.mpf)):
-        p = Fraction(str(p)) if isinstance(p, str) else Fraction(p)
-    counts = plus_run_counts(n, k).counts
-    if isinstance(p, Fraction):
-        q = 1 - p
-        return sum(counts[j] * p**j * q ** (n - j) for j in range(n + 1) if counts[j])
-    with mpmath.workdps(INTERNAL_DPS):
-        p = mpmath.mpf(p)
-        q = 1 - p
-        return mpmath.fsum(
-            counts[j] * p**j * q ** (n - j) for j in range(n + 1) if counts[j]
-        )
+    return mixture(plus_run_counts(n, k).counts, as_prob(p))
 
 
 @dataclass(frozen=True)
@@ -90,8 +62,7 @@ def convergence_report(k: int, p, n_grid: list[int]) -> ConvergenceReport:
     Requires p != 1/2.  For p < 1/2 the dominant sign is the zeros, and
     by the flip symmetry the gap equals the one computed at 1 - p.
     """
-    if not isinstance(p, (Fraction, mpmath.mpf)):
-        p = Fraction(str(p)) if isinstance(p, str) else Fraction(p)
+    p = as_prob(p)
     if p == Fraction(1, 2):
         raise ValueError("p must differ from 1/2")
     p_dom = p if p > Fraction(1, 2) else 1 - p

@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     ZeroResidual,
 )
-from .exact_null import critical_value, null_table_by_counting, p_value
+from .exact_null import critical_value, null_table_by_counting, p_value, rejection_region
 from .run_stats import ResidualSeries, RunSummary, longest_runs, signs_from_residuals
 
 SCHEMA_VERSION = 1
@@ -167,18 +167,7 @@ def run_test(
     summary = longest_runs(seq)
     n = seq.n
     pv = p_value(n, summary.l_n, tail)
-    if tail == "unilateral":
-        cv = critical_value(n, alpha, convention)
-        crit = {"c": cv}
-        reject = summary.l_n > cv.c
-        attained = cv.attained_level
-    else:
-        lo = critical_value(n, 1 - alpha / 2, convention)
-        hi = critical_value(n, alpha / 2, convention)
-        crit = {"c_lower": lo, "c_upper": hi}
-        reject = summary.l_n < lo.c or summary.l_n > hi.c
-        table = null_table_by_counting(n)
-        attained = table.cdf(lo.c - 1) + table.sf(hi.c)
+    region = rejection_region(n, alpha, tail, convention)
     return TestReport(
         n_effective=n,
         dropped_zeros=len(seq.zero_positions),
@@ -187,9 +176,9 @@ def run_test(
         alpha=alpha,
         tail=tail,
         convention=convention,
-        critical_values=crit,
-        attained_level=attained,
-        decision="reject" if reject else "fail_to_reject",
+        critical_values=region.critical_values,
+        attained_level=region.size,
+        decision="reject" if region.rejects(summary.l_n) else "fail_to_reject",
         config={"zero_policy": zero_policy},
     )
 

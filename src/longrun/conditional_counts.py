@@ -2,14 +2,15 @@
 
 ``snk(n, x)[k]`` is the number of length-``n`` binary sequences with
 ``k`` ones in which no run of either symbol is longer than ``x``.  Two
-engines compute it: an unambiguous dynamic program over run states
-(authoritative), and a re-derivation of the published four-case
-recursion whose misprints were reconciled against the DP (see the
-DiscrepancyReport it returns).
+engines compute it: the run-state kernel ``bounded_runs`` (authoritative;
+it also counts the null law and the one-sided bounds), and a
+re-derivation of the published four-case recursion whose misprints were
+reconciled against the kernel (see the DiscrepancyReport it returns).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -34,21 +35,56 @@ class CountTable:
         return sum(self.counts)
 
 
-@lru_cache(maxsize=None)
+def bounded_runs(n: int, x1: int, x0: int, pack: int = 0) -> int:
+    """Count length-n binary strings whose ones-runs are <= x1 and zero-runs <= x0.
+
+    A string with k ones counts 2^(pack*k): with pack > n the counts by k
+    are the base-2^pack digits of the result, as C(n, k) < 2^pack.  This is
+    the Markov chain imbedding of Fu & Koutras (JASA 1994) on run ends, with
+    the sliding window of Schilling (College Math. J. 1990).  With t = 2^pack,
+    the strings of length m ending in a one number
+    ones(m) = t (lead1(m-1) + ones(m-1)) - t^(x1+1) lead1(m-1-x1), where lead1
+    counts those a run of ones may follow (the empty string, or one ending in
+    a zero); zeros likewise with weight 1.
+    """
+    if n < 0 or x1 < 0 or x0 < 0:
+        raise ValueError("n, x1 and x0 must be >= 0")
+    # lead(m-1-x) .. lead(m-1) for the term that leaves the window; none where x >= n
+    window1, window0 = (
+        deque([0] * x + [1], maxlen=x + 1) if x < n else deque(maxlen=0) for x in (x1, x0)
+    )
+    ones = zeros = 0
+    lead1 = lead0 = 1  # the empty string
+    for _ in range(n):
+        ones, zeros = (lead1 + ones) << pack, lead0 + zeros
+        if window1:
+            ones -= window1[0] << pack * (x1 + 1)
+        if window0:
+            zeros -= window0[0]
+        lead1, lead0 = zeros, ones
+        window1.append(lead1)
+        window0.append(lead0)
+    return ones + zeros if n else 1
+
+
+def counts_by_ones(n: int, x1: int, x0: int) -> tuple[int, ...]:
+    """``bounded_runs`` split by number of ones k = 0..n."""
+    width = n + 1
+    bits = format(bounded_runs(n, x1, x0, pack=width), f"0{width * width}b")
+    return tuple(int(bits[i : i + width], 2) for i in range(len(bits) - width, -1, -width))
+
+
 def compositions_bounded(n: int, x: int) -> int:
     """Number of compositions of n into parts from {1..x}.
 
-    compositions_bounded(0, x) == 1 (the empty composition).
+    compositions_bounded(0, x) == 1 (the empty composition).  For n >= 1
+    the parts are the runs of the strings that start with a one.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    c = [0] * (n + 1)
-    c[0] = 1
-    for m in range(1, n + 1):
-        c[m] = sum(c[m - j] for j in range(1, min(x, m) + 1))
-    return c[n]
+    return bounded_runs(n, x, x) // 2 if n else 1
 
 
 def _validate(n: int, x: int) -> None:
@@ -60,28 +96,9 @@ def _validate(n: int, x: int) -> None:
 
 @lru_cache(maxsize=None)
 def snk_dp(n: int, x: int) -> CountTable:
-    """Bounded-run counts via a run-state dynamic program.
-
-    State after each position: (number of ones so far, sign of the
-    current run, current run length <= x).  Exact integers throughout.
-    """
+    """Bounded-run counts from the run-state kernel ``bounded_runs``."""
     _validate(n, x)
-    # state -> count; run length capped at x by construction
-    cur: dict[tuple[int, int, int], int] = {(1, 1, 1): 1, (0, 0, 1): 1}
-    for _ in range(n - 1):
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (k, s, r), c in cur.items():
-            if r + 1 <= x:
-                key = (k + s, s, r + 1)
-                nxt[key] = nxt.get(key, 0) + c
-            flip = 1 - s
-            key = (k + flip, flip, 1)
-            nxt[key] = nxt.get(key, 0) + c
-        cur = nxt
-    counts = [0] * (n + 1)
-    for (k, _, _), c in cur.items():
-        counts[k] += c
-    return CountTable(n=n, x=x, counts=tuple(counts), engine="dp")
+    return CountTable(n=n, x=x, counts=counts_by_ones(n, x, x), engine="dp")
 
 
 #: Corrections applied to the published four-case recursion, each

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .conditional_counts import compositions_bounded
+from .conditional_counts import bounded_runs
 from .discrepancy import DiscrepancyReport, Resolution
 from .errors import ObservedOutOfRange
 
@@ -60,22 +60,17 @@ class CriticalValueResult:
 
 @lru_cache(maxsize=None)
 def null_table_by_counting(n: int) -> ProbabilityTable:
-    """Null pmf via bounded-composition counting (authoritative engine).
+    """Null pmf via bounded-run counting (authoritative engine).
 
-    The number of length-n binary strings whose longest run of either
-    symbol is at most x equals twice the number of compositions of n
-    into parts of size at most x.
+    Pr(L_n <= x) is the number of length-n binary strings whose runs of
+    either symbol are at most x, over 2^n; the run-state kernel
+    ``bounded_runs`` counts them once per x.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     denom = 2**n
-
-    def below(x: int) -> int:
-        return 2 * compositions_bounded(n, x) if x >= 1 else 0
-
-    pmf = tuple(
-        Fraction(below(k) - below(k - 1), denom) for k in range(1, n + 1)
-    )
+    below = [bounded_runs(n, x, x) for x in range(n + 1)]
+    pmf = tuple(Fraction(below[k] - below[k - 1], denom) for k in range(1, n + 1))
     return ProbabilityTable(n=n, pmf=pmf, regime="null")
 
 
@@ -181,6 +176,45 @@ def critical_value(
     return CriticalValueResult(
         n=n, alpha=alpha, c=c, attained_level=table.sf(c), convention=convention
     )
+
+
+@dataclass(frozen=True)
+class RejectionRegion:
+    """Rejection region {L_n < lower.c} or {L_n > upper.c} of one test configuration."""
+
+    lower: CriticalValueResult | None  # None for the unilateral test
+    upper: CriticalValueResult
+    size: Fraction  # exact null probability of the region
+
+    def rejects(self, observed: int) -> bool:
+        return observed > self.upper.c or (self.lower is not None and observed < self.lower.c)
+
+    @property
+    def critical_values(self) -> dict[str, CriticalValueResult]:
+        if self.lower is None:
+            return {"c": self.upper}
+        return {"c_lower": self.lower, "c_upper": self.upper}
+
+    def __str__(self) -> str:
+        if self.lower is None:
+            return f"L > {self.upper.c}"
+        return f"L < {self.lower.c} or L > {self.upper.c}"
+
+
+def rejection_region(
+    n: int, alpha: Fraction | float | str, tail: str = "unilateral", convention: str = "paper"
+) -> RejectionRegion:
+    """Rejection region of the level-alpha test; the bilateral one puts alpha/2 in each tail."""
+    if tail not in TAILS:
+        raise ValueError(f"unknown tail {tail!r}")
+    alpha = Fraction(alpha)
+    if tail == "unilateral":
+        upper = critical_value(n, alpha, convention)
+        return RejectionRegion(lower=None, upper=upper, size=upper.attained_level)
+    lower = critical_value(n, 1 - alpha / 2, convention)
+    upper = critical_value(n, alpha / 2, convention)
+    size = null_table_by_counting(n).cdf(lower.c - 1) + upper.attained_level
+    return RejectionRegion(lower=lower, upper=upper, size=size)
 
 
 def p_value(n: int, observed: int, tail: str = "unilateral") -> Fraction:

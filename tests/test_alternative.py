@@ -111,6 +111,15 @@ class TestPower:
             r = power(n, F(1, 5), "bilateral", "paper", AlternativeSpec.direct(F(1, 2)))
             assert r.power == attained_size(n, F(1, 5), "bilateral", "paper")
 
+    @pytest.mark.parametrize("tail", ["unilateral", "bilateral"])
+    def test_gaussian_power_keeps_digits_at_default_precision(self, tail):
+        spec = AlternativeSpec.gaussian_shift(0.3, 1.0)
+        with mpmath.workdps(15):
+            low = power(120, F(1, 20), tail, "paper", spec).power
+        with mpmath.workdps(60):
+            high = power(120, F(1, 20), tail, "paper", spec).power
+            assert abs(low - high) <= mpmath.mpf("1e-45") * high
+
     def test_invalid_config(self):
         spec = AlternativeSpec.direct("0.6")
         with pytest.raises(ValueError):

@@ -2,9 +2,17 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from longrun import compositions_bounded, enumerate_joint, snk_dp, snk_proposition1
-from longrun.conditional_counts import _special_correction
+from longrun import (
+    compositions_bounded,
+    enumerate_joint,
+    plus_run_counts,
+    snk_dp,
+    snk_proposition1,
+)
+from longrun.conditional_counts import _special_correction, bounded_runs, counts_by_ones
 
 
 def brute_compositions(n, x):
@@ -35,6 +43,41 @@ class TestCompositions:
             compositions_bounded(3, 0)
         with pytest.raises(ValueError):
             compositions_bounded(-1, 2)
+
+
+def enumerate_bounded_runs(n, x1, x0):
+    """Counts by number of ones of all 2^n strings with ones-runs <= x1, zero-runs <= x0."""
+    counts = [0] * (n + 1)
+    for bits in itertools.product("01", repeat=n):
+        s = "".join(bits)
+        if "1" * (x1 + 1) not in s and "0" * (x0 + 1) not in s:
+            counts[s.count("1")] += 1
+    return tuple(counts)
+
+
+class TestBoundedRuns:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 14),
+        x1=st.integers(0, 16),
+        x0=st.integers(0, 16),
+    )
+    def test_against_enumeration(self, n, x1, x0):
+        by_k = enumerate_bounded_runs(n, x1, x0)
+        assert bounded_runs(n, x1, x0) == sum(by_k)
+        assert counts_by_ones(n, x1, x0) == by_k
+
+    @pytest.mark.parametrize("n", [64, 200, 400])
+    def test_packing_width_holds_binomials(self, n):
+        binomials = tuple(comb(n, k) for k in range(n + 1))
+        assert snk_dp(n, n).counts == binomials
+        assert plus_run_counts(n, n).counts == binomials
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            bounded_runs(-1, 2, 2)
+        with pytest.raises(ValueError):
+            bounded_runs(3, -1, 2)
 
 
 class TestSnkDp:
@@ -106,6 +149,13 @@ class TestProposition1:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_agrees_with_dp(self, n):
         for x in range(1, n + 1):
+            table, report = snk_proposition1(n, x)
+            assert report.clean
+            assert table.counts == snk_dp(n, x).counts
+
+    @pytest.mark.parametrize("n", [31, 44, 60])
+    def test_agrees_with_dp_beyond_grid(self, n):
+        for x in (2, 3, 5, 8, n // 2, n):
             table, report = snk_proposition1(n, x)
             assert report.clean
             assert table.counts == snk_dp(n, x).counts

@@ -11,6 +11,7 @@ from longrun import (
     snk_dp,
 )
 from longrun.errors import ObservedOutOfRange
+from longrun.exact_null import rejection_region
 
 F = Fraction
 
@@ -149,3 +150,25 @@ class TestPValue:
     def test_unknown_tail(self):
         with pytest.raises(ValueError):
             p_value(5, 3, "both")
+
+
+class TestRejectionRegion:
+    @pytest.mark.parametrize("tail", ["unilateral", "bilateral"])
+    @pytest.mark.parametrize("convention", ["paper", "conservative"])
+    def test_size_is_null_mass_of_rejected_values(self, tail, convention):
+        for n in (3, 8, 17, 30):
+            for alpha in (F(1, 20), F(1, 4)):
+                region = rejection_region(n, alpha, tail, convention)
+                table = null_table_by_counting(n)
+                rejected = sum((table.p(l) for l in range(1, n + 1) if region.rejects(l)), F(0))
+                assert region.size == rejected
+
+    def test_bilateral_cutoffs(self):
+        region = rejection_region(20, F(1, 20), "bilateral")
+        assert str(region) == "L < 2 or L > 8"
+        assert {k: cv.c for k, cv in region.critical_values.items()} == {"c_lower": 2, "c_upper": 8}
+        assert region.size == F(13295, 524288)
+
+    def test_invalid_tail(self):
+        with pytest.raises(ValueError):
+            rejection_region(10, F(1, 20), "triple")
