@@ -89,4 +89,4 @@ def oracle_null_pmf(n: int) -> ProbabilityTable:
     by_l = table.marginal_l()
     denom = 2**n
     pmf = tuple(Fraction(by_l.get(k, 0), denom) for k in range(1, n + 1))
-    return ProbabilityTable(n=n, pmf=pmf, regime="null")
+    return ProbabilityTable(n=n, pmf=pmf)

@@ -1,7 +1,9 @@
 """Command-line front end: ingest residual CSVs, run the test, dump tables.
 
-Subcommands: test, table, critical, power, snk, converge, oracle.
-Exit codes: 0 success, 2 input error, 3 configuration error.
+Subcommands: test, table, critical, power, snk, converge, oracle.  Each
+takes only the flags and formats it uses; any other is a configuration error.
+Exit codes: 0 success, 1 rejection with --fail-on-reject, 2 input error,
+3 configuration error.
 All probabilities are emitted both as exact fraction strings and as
 decimals rounded to the requested number of significant digits.
 """
@@ -14,6 +16,7 @@ import io
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -99,21 +102,14 @@ class TestReport:
         }
 
 
-def ingest(source, fmt: str = "csv") -> tuple[ResidualSeries, int]:
+def ingest(source) -> tuple[ResidualSeries, int]:
     """Parse a residual CSV into a covariate-ordered series.
 
     Accepts header (x, y, fitted) or (x, residual).  Returns the series
     plus 0 dropped rows (zero dropping happens at sign time).
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported input format {fmt!r}")
-    close = False
-    if isinstance(source, (str, bytes)):
-        fh = open(source, newline="", encoding="utf-8")
-        close = True
-    else:
-        fh = source
-    try:
+    named = isinstance(source, (str, bytes))
+    with open(source, newline="", encoding="utf-8") if named else nullcontext(source) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -121,16 +117,15 @@ def ingest(source, fmt: str = "csv") -> tuple[ResidualSeries, int]:
             raise MissingColumns("empty input")
         cols = [h.strip().lower() for h in header]
         if {"x", "y", "fitted"} <= set(cols):
-            idx = (cols.index("x"), cols.index("y"), cols.index("fitted"))
-            mode = "raw"
+            names, build = ("x", "y", "fitted"), ResidualSeries.from_raw
         elif {"x", "residual"} <= set(cols):
-            idx = (cols.index("x"), cols.index("residual"))
-            mode = "precomputed"
+            names, build = ("x", "residual"), ResidualSeries.from_residuals
         else:
             raise MissingColumns(
                 f"header {header!r} lacks columns (x, y, fitted) or (x, residual)"
             )
-        xs, ys, fs, rs = [], [], [], []
+        idx = [cols.index(name) for name in names]
+        data = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -141,18 +136,10 @@ def ingest(source, fmt: str = "csv") -> tuple[ResidualSeries, int]:
             for v, i in zip(vals, idx):
                 if not math.isfinite(v):
                     raise NonFiniteValue(lineno, cols[i])
-            if mode == "raw":
-                xs.append(vals[0]); ys.append(vals[1]); fs.append(vals[2])
-            else:
-                xs.append(vals[0]); rs.append(vals[1])
-        if not xs:
-            raise MissingColumns("no data rows")
-        if mode == "raw":
-            return ResidualSeries.from_raw(xs, ys, fs), 0
-        return ResidualSeries.from_residuals(xs, rs), 0
-    finally:
-        if close:
-            fh.close()
+            data.append(vals)
+    if not data:
+        raise MissingColumns("no data rows")
+    return build(*zip(*data)), 0
 
 
 def run_test(
@@ -200,11 +187,40 @@ def _emit_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _table_rows(n: int, precision: int) -> list[dict]:
-    table = null_table_by_counting(n)
+_RENDER = {"json": _emit_json, "csv": _emit_csv, "text": str}
+
+
+# ------------------------------------------------------------------ #
+# Subcommand handlers: each returns {format: output} for the formats it offers
+# ------------------------------------------------------------------ #
+
+
+def _cmd_test(args) -> dict:
+    source = sys.stdin if args.input == "-" else args.input
+    series, _ = ingest(source)
+    report = run_test(series, args.alpha, args.tail, args.convention, args.zero_policy)
+    d = report.to_dict(args.precision)
+    lines = [
+        f"longest-run lack-of-fit test (n={d['n_effective']}, "
+        f"dropped_zeros={d['dropped_zeros']})",
+        f"statistic: L={d['statistic']['l_n']} "
+        f"(L+={d['statistic']['l_plus']}, L-={d['statistic']['l_minus']}, "
+        f"k={d['statistic']['k']})",
+        f"p-value ({d['tail']}): {d['p_value']['fraction']} "
+        f"= {d['p_value']['decimal']}",
+        f"critical values ({d['convention']}): {d['critical_values']}",
+        f"attained level: {d['attained_level']['fraction']} "
+        f"= {d['attained_level']['decimal']}",
+        f"decision at alpha={d['alpha']['fraction']}: {d['decision']}",
+    ]
+    return {"json": d, "text": "\n".join(lines) + "\n"}
+
+
+def _cmd_table(args) -> dict:
+    table = null_table_by_counting(args.n)
     rows = []
     cdf = Fraction(0)
-    for k in range(1, n + 1):
+    for k in range(1, args.n + 1):
         pk = table.p(k)
         cdf += pk
         rows.append(
@@ -212,62 +228,25 @@ def _table_rows(n: int, precision: int) -> list[dict]:
                 "k": k,
                 "pmf_numerator": pk.numerator,
                 "pmf_denominator": pk.denominator,
-                "pmf": fraction_decimal(pk, precision),
+                "pmf": fraction_decimal(pk, args.precision),
                 "cdf_numerator": cdf.numerator,
                 "cdf_denominator": cdf.denominator,
-                "cdf": fraction_decimal(cdf, precision),
+                "cdf": fraction_decimal(cdf, args.precision),
             }
         )
-    return rows
+    text = [
+        f"null distribution of the longest run, n={args.n}\n",
+        f"{'k':>4} {'pmf':>14} {'cdf':>14}\n",
+    ]
+    text += [f"{r['k']:>4} {r['pmf']:>14} {r['cdf']:>14}\n" for r in rows]
+    return {
+        "json": {"schema": SCHEMA_VERSION, "n": args.n, "rows": rows},
+        "csv": rows,
+        "text": "".join(text),
+    }
 
 
-# ------------------------------------------------------------------ #
-# Subcommand handlers
-# ------------------------------------------------------------------ #
-
-
-def _cmd_test(args) -> int:
-    source = sys.stdin if args.input == "-" else args.input
-    series, _ = ingest(source)
-    report = run_test(series, args.alpha, args.tail, args.convention, args.zero_policy)
-    if args.format == "json":
-        sys.stdout.write(_emit_json(report.to_dict(args.precision)))
-    else:
-        d = report.to_dict(args.precision)
-        lines = [
-            f"longest-run lack-of-fit test (n={d['n_effective']}, "
-            f"dropped_zeros={d['dropped_zeros']})",
-            f"statistic: L={d['statistic']['l_n']} "
-            f"(L+={d['statistic']['l_plus']}, L-={d['statistic']['l_minus']}, "
-            f"k={d['statistic']['k']})",
-            f"p-value ({d['tail']}): {d['p_value']['fraction']} "
-            f"= {d['p_value']['decimal']}",
-            f"critical values ({d['convention']}): {d['critical_values']}",
-            f"attained level: {d['attained_level']['fraction']} "
-            f"= {d['attained_level']['decimal']}",
-            f"decision at alpha={d['alpha']['fraction']}: {d['decision']}",
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
-    if args.fail_on_reject and report.decision == "reject":
-        return EXIT_REJECT
-    return EXIT_OK
-
-
-def _cmd_table(args) -> int:
-    rows = _table_rows(args.n, args.precision)
-    if args.format == "json":
-        sys.stdout.write(_emit_json({"schema": SCHEMA_VERSION, "n": args.n, "rows": rows}))
-    elif args.format == "csv":
-        sys.stdout.write(_emit_csv(rows))
-    else:
-        sys.stdout.write(f"null distribution of the longest run, n={args.n}\n")
-        sys.stdout.write(f"{'k':>4} {'pmf':>14} {'cdf':>14}\n")
-        for r in rows:
-            sys.stdout.write(f"{r['k']:>4} {r['pmf']:>14} {r['cdf']:>14}\n")
-    return EXIT_OK
-
-
-def _cmd_critical(args) -> int:
+def _cmd_critical(args) -> dict:
     convention = "conservative" if args.conservative else "paper"
     cv = critical_value(args.n, args.alpha, convention)
     out = {
@@ -278,18 +257,15 @@ def _cmd_critical(args) -> int:
         "attained_level": prob_fields(cv.attained_level, args.precision),
         "convention": cv.convention,
     }
-    if args.format == "json":
-        sys.stdout.write(_emit_json(out))
-    else:
-        sys.stdout.write(
-            f"n={cv.n} alpha={cv.alpha} convention={cv.convention}: "
-            f"c={cv.c}, attained level {cv.attained_level} "
-            f"= {fraction_decimal(cv.attained_level, args.precision)}\n"
-        )
-    return EXIT_OK
+    text = (
+        f"n={cv.n} alpha={cv.alpha} convention={cv.convention}: "
+        f"c={cv.c}, attained level {cv.attained_level} "
+        f"= {out['attained_level']['decimal']}\n"
+    )
+    return {"json": out, "text": text}
 
 
-def _cmd_power(args) -> int:
+def _cmd_power(args) -> dict:
     if args.p is not None:
         spec = AlternativeSpec.direct(args.p)
     else:
@@ -302,75 +278,52 @@ def _cmd_power(args) -> int:
         "alpha": prob_fields(result.alpha, args.precision),
         "tail": result.tail,
         "convention": result.convention,
-        "p": prob_fields(
-            spec.p if isinstance(spec.p, Fraction) else spec.p, args.precision
-        ),
+        "p": prob_fields(spec.p, args.precision),
         "c": spec.shift,
         "sigma": spec.sigma,
         "critical_region": result.critical_region,
         "power": prob_fields(result.power, args.precision),
     }
-    if args.format == "json":
-        sys.stdout.write(_emit_json(out))
-    else:
-        sys.stdout.write(
-            f"n={result.n} alpha={result.alpha} {result.tail} "
-            f"({result.convention}): region {result.critical_region}, "
-            f"power = {out['power']['decimal']}\n"
-        )
-    return EXIT_OK
+    text = (
+        f"n={result.n} alpha={result.alpha} {result.tail} "
+        f"({result.convention}): region {result.critical_region}, "
+        f"power = {out['power']['decimal']}\n"
+    )
+    return {"json": out, "text": text}
 
 
-def _cmd_snk(args) -> int:
+def _cmd_snk(args) -> dict:
     table = snk_dp(args.n, args.x)
     rows = [{"k": k, "count": table.counts[k]} for k in range(args.n + 1)]
-    if args.format == "json":
-        sys.stdout.write(
-            _emit_json(
-                {"schema": SCHEMA_VERSION, "n": args.n, "x": args.x, "rows": rows}
-            )
-        )
-    else:
-        sys.stdout.write(_emit_csv(rows))
-    return EXIT_OK
+    return {
+        "json": {"schema": SCHEMA_VERSION, "n": args.n, "x": args.x, "rows": rows},
+        "csv": rows,
+    }
 
 
-def _cmd_converge(args) -> int:
+def _cmd_converge(args) -> dict:
     grid = [int(v) for v in args.n_grid.split(",")]
     report = convergence_report(args.k, args.p, grid)
     rows = [
         {"n": n, "diff": mpmath.nstr(d, args.precision)} for n, d in report.entries
     ]
-    if args.format == "json":
-        sys.stdout.write(
-            _emit_json(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "k": args.k,
-                    "p": str(args.p),
-                    "rows": rows,
-                    "monotone_decreasing": report.monotone_decreasing,
-                }
-            )
-        )
-    else:
-        sys.stdout.write(_emit_csv(rows))
-    return EXIT_OK
+    out = {
+        "schema": SCHEMA_VERSION,
+        "k": args.k,
+        "p": str(args.p),
+        "rows": rows,
+        "monotone_decreasing": report.monotone_decreasing,
+    }
+    return {"json": out, "csv": rows}
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> dict:
     table = enumerate_joint(args.n)
     rows = [
         {"k": k, "l": l, "count": c}
         for (k, l), c in sorted(table.counts.items())
     ]
-    if args.format == "json":
-        sys.stdout.write(
-            _emit_json({"schema": SCHEMA_VERSION, "n": args.n, "rows": rows})
-        )
-    else:
-        sys.stdout.write(_emit_csv(rows))
-    return EXIT_OK
+    return {"json": {"schema": SCHEMA_VERSION, "n": args.n, "rows": rows}, "csv": rows}
 
 
 # ------------------------------------------------------------------ #
@@ -385,74 +338,70 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_CONFIG)
 
 
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json",
-        help="output format (default json)",
-    )
-    common.add_argument(
-        "--precision", type=int, default=6,
-        help="significant digits for decimal rendering (default 6)",
-    )
-    common.add_argument(
-        "--zero-policy", choices=("error", "drop"), default="error",
-        help="what to do with exactly-zero residuals (default error)",
-    )
-
     parser = _Parser(prog="longrun", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("test", parents=[common], help="run the lack-of-fit test on a CSV")
+    def command(name, func, formats, help, decimals=True):
+        p = sub.add_parser(name, help=help)
+        p.add_argument(
+            "--format", choices=formats, default="json",
+            help="output format (default json)",
+        )
+        if decimals:
+            p.add_argument(
+                "--precision", type=int, default=6,
+                help="significant digits for decimal rendering (default 6)",
+            )
+        p.set_defaults(func=func)
+        return p
+
+    with_text, with_csv = ("json", "text"), ("json", "csv")
+
+    p = command("test", _cmd_test, with_text, "run the lack-of-fit test on a CSV")
     p.add_argument("--input", "-i", required=True, help="CSV path, or - for stdin")
-    p.add_argument("--alpha", type=_fraction, default=Fraction(1, 20))
+    p.add_argument("--alpha", type=Fraction, default=Fraction(1, 20))
     p.add_argument("--tail", choices=("unilateral", "bilateral"), default="unilateral")
     p.add_argument("--convention", choices=("paper", "conservative"), default="paper")
+    p.add_argument(
+        "--zero-policy", choices=("error", "drop"), default="error",
+        help="what to do with exactly-zero residuals (default error)",
+    )
     p.add_argument(
         "--fail-on-reject", action="store_true",
         help="exit with code 1 when the test rejects",
     )
-    p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("table", parents=[common], help="null pmf/cdf table")
+    p = command("table", _cmd_table, ("json", "csv", "text"), "null pmf/cdf table")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("critical", parents=[common], help="critical value at a level")
+    p = command("critical", _cmd_critical, with_text, "critical value at a level")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=_fraction, required=True)
+    p.add_argument("--alpha", type=Fraction, required=True)
     p.add_argument("--conservative", action="store_true")
-    p.set_defaults(func=_cmd_critical)
 
-    p = sub.add_parser("power", parents=[common], help="exact power under a shift alternative")
+    p = command("power", _cmd_power, with_text, "exact power under a shift alternative")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=_fraction, required=True)
-    p.add_argument("--p", type=str, default=None, help="Pr(residual > 0) directly")
-    p.add_argument("--shift", type=float, default=None, help="constant shift c")
-    p.add_argument("--sigma", type=float, default=None, help="Gaussian error scale")
+    p.add_argument("--alpha", type=Fraction, required=True)
+    alt = p.add_mutually_exclusive_group(required=True)
+    alt.add_argument("--p", type=str, help="Pr(residual > 0) directly")
+    alt.add_argument("--shift", type=float, help="constant shift c, with --sigma")
+    p.add_argument("--sigma", type=float, help="Gaussian error scale, with --shift only")
     p.add_argument("--tail", choices=("unilateral", "bilateral"), default="unilateral")
     p.add_argument("--conservative", action="store_true")
-    p.set_defaults(func=_cmd_power)
 
-    p = sub.add_parser("snk", parents=[common], help="bounded-run counts by number of ones")
+    p = command("snk", _cmd_snk, with_csv, "bounded-run counts by number of ones", False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
-    p.set_defaults(func=_cmd_snk)
 
-    p = sub.add_parser("converge", parents=[common], help="two-sided vs one-sided CDF gap")
+    p = command("converge", _cmd_converge, with_csv, "two-sided vs one-sided CDF gap")
     p.add_argument("--p", type=str, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-grid", type=str, required=True, help="comma-separated n values")
-    p.set_defaults(func=_cmd_converge)
 
-    p = sub.add_parser("oracle", parents=[common], help="brute-force joint count dump")
+    p = command("oracle", _cmd_oracle, with_csv, "brute-force joint count dump", False)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_oracle)
 
     return parser
 
@@ -460,13 +409,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "power":
-        if (args.p is None) == (args.shift is None):
-            parser.error("power needs exactly one of --p or (--shift and --sigma)")
-        if args.shift is not None and args.sigma is None:
-            parser.error("--shift requires --sigma")
+    if args.command == "power" and (args.shift is None) != (args.sigma is None):
+        parser.error("--shift and --sigma go together")
+    # Exact integers pass Python's int/str digit limit (3.11+ and backports) at
+    # about n = 14,300, sooner for a long --p.  Lift it for the command only:
+    # the flags argparse converts (--alpha, --n, ...) were read under it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        return args.func(args)
+        if limit:
+            sys.set_int_max_str_digits(0)
+        outputs = args.func(args)
+        sys.stdout.write(_RENDER[args.format](outputs[args.format]))
     except (IngestError, ZeroResidual, EmptyAfterDrop) as exc:
         sys.stderr.write(f"longrun: input error: {exc}\n")
         return EXIT_INPUT
@@ -476,6 +429,11 @@ def main(argv=None) -> int:
     except (LongrunError, ValueError) as exc:
         sys.stderr.write(f"longrun: error: {exc}\n")
         return EXIT_CONFIG
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    rejected = args.command == "test" and outputs["json"]["decision"] == "reject"
+    return EXIT_REJECT if rejected and args.fail_on_reject else EXIT_OK
 
 
 if __name__ == "__main__":

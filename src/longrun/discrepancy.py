@@ -11,7 +11,7 @@ oracle exactly everywhere it was checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

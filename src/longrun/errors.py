@@ -25,14 +25,6 @@ class CapExceeded(LongrunError):
     """Brute-force enumeration was requested beyond the configured cap."""
 
 
-class RecursionDomain(LongrunError):
-    """A recursion term has an undefined argument with no documented resolution."""
-
-
-class UnreconciledCase(LongrunError):
-    """A published-recursion case could not be corrected to match the oracle."""
-
-
 class IngestError(LongrunError):
     """Base class for CSV ingestion failures."""
 

@@ -27,7 +27,6 @@ class ProbabilityTable:
 
     n: int
     pmf: tuple[Fraction, ...]  # index k = 1..n stored at [k-1]
-    regime: str = "null"
 
     def p(self, k: int) -> Fraction:
         """Pr(L_n = k); zero outside 1..n."""
@@ -71,7 +70,7 @@ def null_table_by_counting(n: int) -> ProbabilityTable:
     denom = 2**n
     below = [bounded_runs(n, x, x) for x in range(n + 1)]
     pmf = tuple(Fraction(below[k] - below[k - 1], denom) for k in range(1, n + 1))
-    return ProbabilityTable(n=n, pmf=pmf, regime="null")
+    return ProbabilityTable(n=n, pmf=pmf)
 
 
 #: The published recursion multiplies probabilities by factorials, which
@@ -147,7 +146,7 @@ def null_table_riordan(n: int) -> tuple[ProbabilityTable, DiscrepancyReport]:
     report = DiscrepancyReport(
         engine="riordan", resolutions=RIORDAN_RESOLUTIONS, mismatches=mismatches
     )
-    return ProbabilityTable(n=n, pmf=pmf, regime="null"), report
+    return ProbabilityTable(n=n, pmf=pmf), report
 
 
 def critical_value(

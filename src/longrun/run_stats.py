@@ -7,7 +7,7 @@ of the longest block of equal bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyAfterDrop, EmptySequence, ZeroResidual

@@ -1,10 +1,12 @@
 import io
 import json
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from longrun import ResidualSeries
+from longrun import AlternativeSpec, ResidualSeries, power
 from longrun.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -209,3 +211,101 @@ class TestCommands:
             _, out, _ = run_cli(capsys, "test", "-i", str(path), "--alpha", "0.05")
             outputs.add(out)
         assert len(outputs) == 1
+
+
+OFFERED = [
+    ("test", "json"), ("test", "text"),
+    ("table", "json"), ("table", "csv"), ("table", "text"),
+    ("critical", "json"), ("critical", "text"),
+    ("power", "json"), ("power", "text"),
+    ("snk", "json"), ("snk", "csv"),
+    ("converge", "json"), ("converge", "csv"),
+    ("oracle", "json"), ("oracle", "csv"),
+]
+
+SMALL_ARGS = {
+    "table": ["--n", "4"],
+    "critical": ["--n", "5", "--alpha", "1/4"],
+    "power": ["--n", "4", "--alpha", "3/8", "--p", "0.7"],
+    "snk": ["--n", "4", "--x", "2"],
+    "converge": ["--p", "0.7", "--k", "2", "--n-grid", "4,8"],
+    "oracle": ["--n", "3"],
+}
+
+
+@pytest.fixture
+def small_csv(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("x,residual\n0,0.5\n1,-1.5\n2,0.5\n3,0.5\n4,0.5\n5,-0.5\n")
+    return str(path)
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("command,fmt", OFFERED)
+    def test_offered_format_runs(self, command, fmt, small_csv, capsys):
+        args = SMALL_ARGS.get(command, ["-i", small_csv])
+        code, out, _ = run_cli(capsys, command, *args, "--format", fmt)
+        assert code == EXIT_OK
+        assert out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "-i", "r.csv", "--format", "csv"],
+            ["snk", "--n", "4", "--x", "2", "--format", "text"],
+            ["table", "--n", "4", "--zero-policy", "drop"],
+            ["oracle", "--n", "3", "--precision", "4"],
+            ["power", "--n", "4", "--alpha", "3/8", "--p", "0.7", "--sigma", "2"],
+        ],
+    )
+    def test_unoffered_flag_is_config_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
+
+class TestTextOutput:
+    def test_test_text(self, small_csv, capsys):
+        _, out, _ = run_cli(capsys, "test", "-i", small_csv, "--alpha", "1/4", "--format", "text")
+        assert out.splitlines() == [
+            "longest-run lack-of-fit test (n=6, dropped_zeros=0)",
+            "statistic: L=3 (L+=3, L-=1, k=4)",
+            "p-value (unilateral): 19/32 = 0.59375",
+            "critical values (paper): {'c': 3}",
+            "attained level: 1/4 = 0.25",
+            "decision at alpha=1/4: fail_to_reject",
+        ]
+
+    def test_table_text(self, capsys):
+        _, out, _ = run_cli(capsys, "table", "--n", "4", "--format", "text")
+        assert out.splitlines() == [
+            "null distribution of the longest run, n=4",
+            "   k            pmf            cdf",
+            "   1          0.125          0.125",
+            "   2            0.5          0.625",
+            "   3           0.25          0.875",
+            "   4          0.125              1",
+        ]
+
+    def test_critical_text(self, capsys):
+        _, out, _ = run_cli(capsys, "critical", *SMALL_ARGS["critical"], "--format", "text")
+        assert out == "n=5 alpha=1/4 convention=paper: c=2, attained level 1/2 = 0.5\n"
+
+    def test_power_text(self, capsys):
+        _, out, _ = run_cli(capsys, "power", *SMALL_ARGS["power"], "--format", "text")
+        assert out == "n=4 alpha=3/8 unilateral (paper): region L > 2, power = 0.4918\n"
+
+
+class TestLongIntegers:
+    def test_power_fraction_past_the_int_digit_limit(self, capsys):
+        # The power's denominator has 4,501 digits, past Python's default limit of 4,300.
+        p = "1/1" + "0" * 50
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, _ = run_cli(capsys, "power", "--n", "90", "--alpha", "0.05", "--p", p)
+        assert code == EXIT_OK
+        num, den = json.loads(out)["power"]["fraction"].split("/")
+        exact = power(90, F(1, 20), "unilateral", "paper", AlternativeSpec.direct(p)).power
+        assert Decimal(num) == Decimal(exact.numerator)
+        assert Decimal(den) == Decimal(exact.denominator)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
