@@ -5,15 +5,18 @@ is the same for every observation but differs from 1/2.  The CDF of
 the longest run is then a binomial mixture of the bounded-run counts:
 Pr(L_n <= x) = sum_k snk(n, x)[k] * p^k * (1-p)^(n-k).
 
-Arithmetic is exact (Fraction) whenever p is rational; otherwise
-mpmath with at least 50 significant digits.
+``mixture`` sums it by Horner's rule in 1 - p, with no powers: a rational
+p = a/b over the integers a^k (b-a)^(n-k), divided by b^n once (exact);
+an mpf p in mpmath at INTERNAL_DPS plus log10(n) + 1 guard digits, enough
+as every term is nonnegative and rounding grows only linearly in n.
+``power`` mixes the counts of the rejected strings in one pass, so no tail
+is taken as 1 - cdf and an mpf power keeps INTERNAL_DPS digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import mpmath
 
@@ -22,7 +25,7 @@ from .exact_null import rejection_region
 
 INTERNAL_DPS = 50
 
-Prob = Union[Fraction, mpmath.mpf]
+Prob = Fraction | mpmath.mpf
 
 
 @dataclass(frozen=True)
@@ -77,18 +80,22 @@ def as_prob(p: Prob | float | str) -> Prob:
     return p if isinstance(p, mpmath.mpf) else Fraction(p)
 
 
-def mixture(counts: tuple[int, ...], p: Prob) -> Prob:
-    """sum_k counts[k] p^k (1-p)^(n-k) over k = 0..n; an mpf p is summed at INTERNAL_DPS."""
+def mixture(counts: tuple[int, ...] | list[int], p: Prob) -> Prob:
+    """sum_k counts[k] p^k (1-p)^(n-k) over k = 0..n (see the module docstring)."""
     n = len(counts) - 1
-    if isinstance(p, Fraction):
-        a, b = p.numerator, p.denominator
-        return Fraction(sum(c * a**k * (b - a) ** (n - k) for k, c in enumerate(counts) if c), b**n)
-    with mpmath.workdps(INTERNAL_DPS):
-        p = mpmath.mpf(p)
-        q = 1 - p
-        return mpmath.fsum(
-            counts[k] * p**k * q ** (n - k) for k in range(n + 1) if counts[k]
-        )
+    exact = isinstance(p, Fraction)
+    with mpmath.workdps(INTERNAL_DPS + len(str(n)) + 1):
+        a, b = (p.numerator, p.denominator) if exact else (mpmath.mpf(p), 1)
+        q, acc, ak = b - a, 0, 1
+        for c in counts:
+            acc = acc * q + c * ak if c else acc * q
+            ak *= a
+    return Fraction(acc, b**n) if exact else acc
+
+
+def counts_at_most(n: int, x: int) -> tuple[int, ...]:
+    """Counts by number of ones of the length-n strings whose longest run is <= x."""
+    return snk_dp(n, x).counts if x >= 1 else (0,) * (n + 1)  # L_n >= 1 always
 
 
 def alt_cdf(n: int, x: int, spec: AlternativeSpec) -> Prob:
@@ -97,8 +104,7 @@ def alt_cdf(n: int, x: int, spec: AlternativeSpec) -> Prob:
         raise ValueError("n must be >= 1")
     if not 0 <= x <= n:
         raise ValueError("x must lie in 0..n")
-    counts = snk_dp(n, x).counts if x else (0,)  # L_n >= 1 always
-    return mixture(counts, spec.p)
+    return mixture(counts_at_most(n, x), spec.p)
 
 
 def power(
@@ -113,17 +119,17 @@ def power(
     An mpf power carries INTERNAL_DPS digits whatever the caller's precision.
     """
     region = rejection_region(n, alpha, tail, convention)
-    with mpmath.workdps(INTERNAL_DPS):
-        pw = 1 - alt_cdf(n, region.upper.c, spec)
-        if region.lower is not None:
-            pw += alt_cdf(n, max(region.lower.c - 1, 0), spec)
+    every = counts_at_most(n, n)  # the binomial row C(n, k), cached with the other counts
+    kept = counts_at_most(n, region.upper.c)
+    low = counts_at_most(n, region.lower.c - 1 if region.lower else 0)
+    rejected = [all_k - kept_k + low_k for all_k, kept_k, low_k in zip(every, kept, low)]
     return PowerResult(
         n=n,
         alpha=Fraction(alpha),
         tail=tail,
         convention=convention,
         spec=spec,
-        power=pw,
+        power=mixture(rejected, spec.p),
         critical_region=str(region),
     )
 

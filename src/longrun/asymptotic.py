@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .alternative import INTERNAL_DPS, AlternativeSpec, Prob, alt_cdf, as_prob, mixture
+from .alternative import INTERNAL_DPS, Prob, as_prob, counts_at_most, mixture
 from .conditional_counts import CountTable, counts_by_ones
 
 
@@ -59,20 +59,22 @@ class ConvergenceReport:
 def convergence_report(k: int, p, n_grid: list[int]) -> ConvergenceReport:
     """Gap between the two-sided and dominant-sign one-sided CDFs over n_grid.
 
-    Requires p != 1/2.  For p < 1/2 the dominant sign is the zeros, and
-    by the flip symmetry the gap equals the one computed at 1 - p.
+    Each gap is one mixture of a nonnegative count difference, free of
+    cancellation.  Requires p != 1/2.  For p < 1/2 the dominant sign is
+    the zeros: by the flip symmetry the counts are read by number of zeros.
     """
     p = as_prob(p)
-    if p == Fraction(1, 2):
+    if 2 * p == 1:
         raise ValueError("p must differ from 1/2")
-    p_dom = p if p > Fraction(1, 2) else 1 - p
+    flip = 2 * p < 1
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
     entries = []
     for n in sorted(n_grid):
-        two_sided = alt_cdf(n, min(k, n), AlternativeSpec(p=p_dom))
-        one_sided = plus_run_cdf(n, min(k, n), p_dom)
-        diff = abs(one_sided - two_sided)
+        x = min(k, n)
+        # strings whose ones-runs are <= x but not all of whose zero-runs are
+        gap = [one - two for one, two in zip(plus_run_counts(n, x).counts, counts_at_most(n, x))]
+        diff = mixture(gap[::-1] if flip else gap, p)
         with mpmath.workdps(INTERNAL_DPS):
             if isinstance(diff, Fraction):
                 diff = mpmath.mpf(diff.numerator) / mpmath.mpf(diff.denominator)

@@ -8,8 +8,8 @@ full scan at n = 20 stays within seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import CapExceeded
 from .exact_null import ProbabilityTable
@@ -87,6 +87,5 @@ def oracle_null_pmf(n: int) -> ProbabilityTable:
     """Null pmf of the longest run straight from enumeration."""
     table = enumerate_joint(n)
     by_l = table.marginal_l()
-    denom = 2**n
-    pmf = tuple(Fraction(by_l.get(k, 0), denom) for k in range(1, n + 1))
-    return ProbabilityTable(n=n, pmf=pmf)
+    below = accumulate((by_l.get(k, 0) for k in range(1, n + 1)), initial=0)
+    return ProbabilityTable(n=n, below=tuple(below))

@@ -219,10 +219,8 @@ def _cmd_test(args) -> dict:
 def _cmd_table(args) -> dict:
     table = null_table_by_counting(args.n)
     rows = []
-    cdf = Fraction(0)
     for k in range(1, args.n + 1):
-        pk = table.p(k)
-        cdf += pk
+        pk, cdf = table.p(k), table.cdf(k)
         rows.append(
             {
                 "k": k,

@@ -11,7 +11,7 @@ oracle exactly everywhere it was checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,7 @@ class Resolution:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "location": self.location,
-            "literal": self.literal,
-            "corrected": self.corrected,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

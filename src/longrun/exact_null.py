@@ -9,9 +9,11 @@ cross-check (its printed factorials must be read as powers of two, see
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 from .conditional_counts import bounded_runs
 from .discrepancy import DiscrepancyReport, Resolution
@@ -23,10 +25,15 @@ TAILS = ("unilateral", "bilateral")
 
 @dataclass(frozen=True)
 class ProbabilityTable:
-    """Exact pmf/cdf of the longest-run statistic for one n."""
+    """Exact pmf/cdf of the longest-run statistic for one n, as counts over 2^n."""
 
     n: int
-    pmf: tuple[Fraction, ...]  # index k = 1..n stored at [k-1]
+    below: tuple[int, ...]  # below[x] = number of length-n sign strings with L_n <= x, x = 0..n
+
+    @cached_property
+    def pmf(self) -> tuple[Fraction, ...]:  # index k = 1..n stored at [k-1]
+        below, denom = self.below, 2**self.n
+        return tuple(Fraction(below[k] - below[k - 1], denom) for k in range(1, self.n + 1))
 
     def p(self, k: int) -> Fraction:
         """Pr(L_n = k); zero outside 1..n."""
@@ -36,13 +43,11 @@ class ProbabilityTable:
 
     def cdf(self, k: int) -> Fraction:
         """Pr(L_n <= k)."""
-        if k < 1:
-            return Fraction(0)
-        return sum(self.pmf[: min(k, self.n)], Fraction(0))
+        return Fraction(self.below[min(max(k, 0), self.n)], 2**self.n)
 
     def sf(self, k: int) -> Fraction:
         """Pr(L_n > k)."""
-        return 1 - self.cdf(k)
+        return Fraction(2**self.n - self.below[min(max(k, 0), self.n)], 2**self.n)
 
     def as_dict(self) -> dict[int, Fraction]:
         return {k: self.pmf[k - 1] for k in range(1, self.n + 1)}
@@ -67,10 +72,7 @@ def null_table_by_counting(n: int) -> ProbabilityTable:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    denom = 2**n
-    below = [bounded_runs(n, x, x) for x in range(n + 1)]
-    pmf = tuple(Fraction(below[k] - below[k - 1], denom) for k in range(1, n + 1))
-    return ProbabilityTable(n=n, pmf=pmf)
+    return ProbabilityTable(n=n, below=tuple(bounded_runs(n, x, x) for x in range(n + 1)))
 
 
 #: The published recursion multiplies probabilities by factorials, which
@@ -146,7 +148,9 @@ def null_table_riordan(n: int) -> tuple[ProbabilityTable, DiscrepancyReport]:
     report = DiscrepancyReport(
         engine="riordan", resolutions=RIORDAN_RESOLUTIONS, mismatches=mismatches
     )
-    return ProbabilityTable(n=n, pmf=pmf), report
+    # every Pr(L_n = k) of the recursion is a multiple of 2^-(n-1)
+    below = tuple(accumulate((int(q * 2**n) for q in pmf), initial=0))
+    return ProbabilityTable(n=n, below=below), report
 
 
 def critical_value(
@@ -164,14 +168,9 @@ def critical_value(
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     table = null_table_by_counting(n)
-    if convention == "paper":
-        c = 0
-        while c + 1 <= n and table.sf(c + 1) >= alpha:
-            c += 1
-    else:
-        c = 0
-        while table.sf(c) > alpha:
-            c += 1
+    cut = (1 - alpha) * 2**n  # Pr(L_n > c) >= alpha exactly when below[c] <= cut
+    below = table.below
+    c = bisect_right(below, cut) - 1 if convention == "paper" else bisect_left(below, cut)
     return CriticalValueResult(
         n=n, alpha=alpha, c=c, attained_level=table.sf(c), convention=convention
     )

@@ -2,17 +2,42 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longrun import (
     AlternativeSpec,
     alt_cdf,
     attained_size,
+    enumerate_joint,
     null_table_by_counting,
     p_from_gaussian_shift,
     power,
 )
+from longrun.alternative import mixture
+from longrun.exact_null import rejection_region
 
 F = Fraction
+
+TAILS = ("unilateral", "bilateral")
+CONVENTIONS = ("paper", "conservative")
+rational_p = st.fractions(F(1, 50), F(49, 50), max_denominator=60)
+alphas = st.fractions(F(1, 1000), F(999, 1000), max_denominator=1000)
+
+
+def dyadic(x: mpmath.mpf) -> Fraction:
+    """The exact rational value of an mpf."""
+    man, exp = x.man_exp
+    return F(man) * F(2) ** exp
+
+
+def enumerated(n, p, event):
+    """Pr(event(k, l)) summed over all 2^n strings; k ones, longest run l."""
+    joint = enumerate_joint(n)
+    return sum(
+        (c * p**k * (1 - p) ** (n - k) for (k, l), c in joint.counts.items() if event(k, l)),
+        F(0),
+    )
 
 
 class TestAlternativeSpec:
@@ -126,6 +151,68 @@ class TestPower:
             power(5, F(1, 4), "triple", "paper", spec)
         with pytest.raises(ValueError):
             power(5, F(1, 4), "unilateral", "classic", spec)
+
+
+class TestAgainstEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 14), p=rational_p, data=st.data())
+    def test_mixture_and_alt_cdf(self, n, p, data):
+        x = data.draw(st.integers(0, n))
+        counts = [0] * (n + 1)
+        for (k, l), c in enumerate_joint(n).counts.items():
+            counts[k] += c if l <= x else 0
+        want = enumerated(n, p, lambda k, l: l <= x)
+        assert mixture(counts, p) == want
+        assert alt_cdf(n, x, AlternativeSpec(p=p)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        p=rational_p,
+        alpha=alphas,
+        tail=st.sampled_from(TAILS),
+        convention=st.sampled_from(CONVENTIONS),
+    )
+    def test_power(self, n, p, alpha, tail, convention):
+        region = rejection_region(n, alpha, tail, convention)
+        got = power(n, alpha, tail, convention, AlternativeSpec(p=p)).power
+        assert got == enumerated(n, p, lambda k, l: region.rejects(l))
+
+
+class TestOnePassPower:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 80), p=rational_p, alpha=alphas, convention=st.sampled_from(CONVENTIONS))
+    def test_bilateral_is_sum_of_tails(self, n, p, alpha, convention):
+        spec = AlternativeSpec(p=p)
+        region = rejection_region(n, alpha, "bilateral", convention)
+        lower = alt_cdf(n, max(region.lower.c - 1, 0), spec)
+        upper = 1 - alt_cdf(n, region.upper.c, spec)
+        assert power(n, alpha, "bilateral", convention, spec).power == lower + upper
+
+    def test_small_power_keeps_digits(self):
+        # the upper tail used to be 1 - cdf: relative error 2.3e-22 here
+        with mpmath.workdps(50):
+            p = mpmath.mpf(3) / 5
+        got = power(200, F(1, 10**40), "unilateral", "conservative", AlternativeSpec(p=p)).power
+        want = power(200, F(1, 10**40), "unilateral", "conservative",
+                     AlternativeSpec(p=dyadic(p))).power
+        assert abs(dyadic(got) - want) <= want * F(1, 10**50)
+
+    @pytest.mark.parametrize("n, examples", [(60, 8), (250, 4), (1000, 2)])
+    def test_mpf_power_within_50_digits(self, n, examples):
+        @settings(max_examples=examples, deadline=None)
+        @given(
+            shift=st.floats(-1.5, 1.5).filter(lambda c: abs(c) > 1e-3),
+            tail=st.sampled_from(TAILS),
+            convention=st.sampled_from(CONVENTIONS),
+        )
+        def check(shift, tail, convention):
+            spec = AlternativeSpec.gaussian_shift(shift, 1.0)
+            got = power(n, F(1, 20), tail, convention, spec).power
+            want = power(n, F(1, 20), tail, convention, AlternativeSpec(p=dyadic(spec.p))).power
+            assert abs(dyadic(got) - want) <= want * F(1, 10**50)
+
+        check()
 
 
 class TestGaussianShift:

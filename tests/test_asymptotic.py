@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import comb
 
+import mpmath
 import pytest
 
 from longrun import (
@@ -86,3 +87,13 @@ class TestConvergenceReport:
         a = convergence_report(4, "0.3", [12, 24])
         b = convergence_report(4, "0.7", [12, 24])
         assert [d for _, d in a.entries] == [d for _, d in b.entries]
+
+    @pytest.mark.parametrize("p", ["0.7", "0.3"])
+    def test_mpf_p_keeps_digits(self, p):
+        with mpmath.workdps(50):
+            p_mpf = mpmath.mpf(p)
+        man, exp = p_mpf.man_exp
+        exact = convergence_report(5, F(man) * F(2) ** exp, [16, 64, 128])
+        got = convergence_report(5, p_mpf, [16, 64, 128])
+        for (_, d), (_, want) in zip(got.entries, exact.entries):
+            assert abs(d - want) <= mpmath.mpf("1e-48") * want

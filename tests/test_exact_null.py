@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longrun import (
     critical_value,
@@ -54,6 +56,13 @@ class TestCountingEngine:
         for x in range(1, n + 1):
             total = sum(snk_dp(n, x).counts)
             assert F(total, 2**n) == t.cdf(x)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20])
+    def test_cdf_and_sf_are_prefix_sums(self, n):
+        t = null_table_by_counting(n)
+        for k in range(-1, n + 2):
+            assert t.cdf(k) == sum((t.p(j) for j in range(1, k + 1)), F(0))
+            assert t.sf(k) == 1 - t.cdf(k)
 
 
 class TestRiordanEngine:
@@ -125,6 +134,18 @@ class TestCriticalValue:
             for a in (F(1, 100), F(5, 100), F(1, 4)):
                 assert critical_value(n, a, "paper").attained_level >= a
                 assert critical_value(n, a, "conservative").attained_level <= a
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        alpha=st.fractions(F(1, 10**6), F(999999, 10**6), max_denominator=10**6),
+    )
+    def test_matches_definition(self, n, alpha):
+        sf = null_table_by_counting(n).sf
+        paper = max(c for c in range(n + 1) if sf(c) >= alpha)
+        conservative = min(c for c in range(n + 1) if sf(c) <= alpha)
+        assert critical_value(n, alpha, "paper").c == paper
+        assert critical_value(n, alpha, "conservative").c == conservative
 
 
 class TestPValue:
