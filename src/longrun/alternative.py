@@ -5,12 +5,12 @@ is the same for every observation but differs from 1/2.  The CDF of
 the longest run is then a binomial mixture of the bounded-run counts:
 Pr(L_n <= x) = sum_k snk(n, x)[k] * p^k * (1-p)^(n-k).
 
-``mixture`` sums it by Horner's rule in 1 - p, with no powers: a rational
-p = a/b over the integers a^k (b-a)^(n-k), divided by b^n once (exact);
-an mpf p in mpmath at INTERNAL_DPS plus log10(n) + 1 guard digits, enough
-as every term is nonnegative and rounding grows only linearly in n.
-``power`` mixes the counts of the rejected strings in one pass, so no tail
-is taken as 1 - cdf and an mpf power keeps INTERNAL_DPS digits.
+``mixture`` sums it by Horner's rule over the integers, acc = acc*q + c_k*a^k
+with q = b-a for p = a/b, divided by b^n once: exact for a rational p.  An
+mpf p = a*2^e runs it with b = 2^-e, or b = 2^t and q cut for p < ~2^-t,
+acc and a^k carrying binary scales and cut toward zero to W bits per step,
+W = dps_to_prec(INTERNAL_DPS + len(str(n)) + 1), t = W + bits(a).  Every
+term is nonnegative: the relative error is at most about 2(n+1)*2^(1-W).
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ class AlternativeSpec:
     sigma: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.p < 1:
-            raise ValueError("p must lie strictly between 0 and 1")
+        as_prob(self.p)  # raises unless 0 < p < 1
 
     @classmethod
     def direct(cls, p: Fraction | float | str) -> "AlternativeSpec":
@@ -76,21 +75,35 @@ def p_from_gaussian_shift(c: float, sigma: float) -> mpmath.mpf:
 
 
 def as_prob(p: Prob | float | str) -> Prob:
-    """p as a Fraction or an mpf; a str or float is read as an exact rational."""
-    return p if isinstance(p, mpmath.mpf) else Fraction(p)
+    """p as a Fraction or an mpf in (0, 1); a str or float is read as an exact rational."""
+    p = p if isinstance(p, mpmath.mpf) else Fraction(p)
+    if not 0 < p < 1:
+        raise ValueError("p must lie strictly between 0 and 1")
+    return p
 
 
 def mixture(counts: tuple[int, ...] | list[int], p: Prob) -> Prob:
     """sum_k counts[k] p^k (1-p)^(n-k) over k = 0..n (see the module docstring)."""
     n = len(counts) - 1
-    exact = isinstance(p, Fraction)
-    with mpmath.workdps(INTERNAL_DPS + len(str(n)) + 1):
-        a, b = (p.numerator, p.denominator) if exact else (mpmath.mpf(p), 1)
-        q, acc, ak = b - a, 0, 1
-        for c in counts:
-            acc = acc * q + c * ak if c else acc * q
-            ak *= a
-    return Fraction(acc, b**n) if exact else acc
+    if isinstance(p, Fraction):
+        a, b, q, bits = p.numerator, p.denominator, p.denominator - p.numerator, 0
+    else:  # p 2^t = a 2^(e+t), and q = (1 - p) 2^t cut toward zero; exact unless p is tiny
+        (_, a, e, _), bits = p._mpf_, mpmath.libmp.dps_to_prec(INTERNAL_DPS + len(str(n)) + 1)
+        t = min(-e, bits + a.bit_length())
+        q, drift = (1 << t) + (-a >> -e - t), e + t
+    acc, acc_s, ak, ak_s = 0, 0, 1 << bits, -bits  # acc 2^acc_s, ak 2^ak_s: sum, p^k; times b^k
+    for c in counts:
+        acc *= q
+        if c:
+            if acc_s < ak_s or not acc:  # align to the larger scale; a zero sum takes ak's
+                acc, acc_s = acc >> max(ak_s - acc_s, 0), ak_s
+            acc += c * ak >> acc_s - ak_s
+        ak *= a
+        if bits and (d := acc.bit_length() - bits) > 0:
+            acc, acc_s = acc >> d, acc_s + d
+        if bits and (d := ak.bit_length() - bits) >= 0:  # every step: ak keeps ``bits`` bits
+            ak, ak_s = ak >> d, ak_s + d + drift
+    return mpmath.ldexp(acc, acc_s - t * n) if bits else Fraction(acc, b**n)  # ldexp is exact
 
 
 def counts_at_most(n: int, x: int) -> tuple[int, ...]:

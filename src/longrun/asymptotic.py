@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 
 from .alternative import INTERNAL_DPS, Prob, as_prob, counts_at_most, mixture
-from .conditional_counts import CountTable, counts_by_ones
+from .conditional_counts import CountTable, counts_by_ones, engine_cache
 
 
-@lru_cache(maxsize=None)
+@engine_cache
 def plus_run_counts(n: int, x: int) -> CountTable:
     """Counts by k of length-n sequences whose longest run of ONES is <= x.
 

@@ -8,9 +8,9 @@ full scan at n = 20 stays within seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
+from .conditional_counts import engine_cache
 from .errors import CapExceeded
 from .exact_null import ProbabilityTable
 
@@ -52,7 +52,7 @@ class JointCountTable:
         return sum(c for (kk, l), c in self.counts_plus.items() if kk == k and l <= x)
 
 
-@lru_cache(maxsize=None)
+@engine_cache
 def enumerate_joint(n: int, cap: int = ENUMERATION_CAP) -> JointCountTable:
     """Exhaustive scan of all 2^n bit patterns."""
     if n < 1:

@@ -17,6 +17,9 @@ from math import comb
 
 from .discrepancy import DiscrepancyReport, Resolution
 
+CACHE_SIZE = 32  #: entries per cached engine; a power study at four n uses 20 count tables
+engine_cache = lru_cache(maxsize=CACHE_SIZE)
+
 
 @dataclass(frozen=True)
 class CountTable:
@@ -94,7 +97,7 @@ def _validate(n: int, x: int) -> None:
         raise ValueError("x must be >= 1")
 
 
-@lru_cache(maxsize=None)
+@engine_cache
 def snk_dp(n: int, x: int) -> CountTable:
     """Bounded-run counts from the run-state kernel ``bounded_runs``."""
     _validate(n, x)
@@ -150,7 +153,7 @@ def _special_correction(n: int, k: int, x: int) -> int:
     return corr
 
 
-@lru_cache(maxsize=None)
+@engine_cache
 def _prop1_rows(n: int, x: int) -> tuple[tuple[int, ...], ...]:
     """All rows S_m^(k)(x) for m = 0..n via the corrected recursion, bottom-up."""
     rows: list[tuple[int, ...]] = [(1,)]  # S_0^(0) = 1

@@ -12,10 +12,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 
-from .conditional_counts import bounded_runs
+from .conditional_counts import bounded_runs, engine_cache
 from .discrepancy import DiscrepancyReport, Resolution
 from .errors import ObservedOutOfRange
 
@@ -62,7 +62,7 @@ class CriticalValueResult:
     convention: str
 
 
-@lru_cache(maxsize=None)
+@engine_cache
 def null_table_by_counting(n: int) -> ProbabilityTable:
     """Null pmf via bounded-run counting (authoritative engine).
 
@@ -92,7 +92,7 @@ RIORDAN_RESOLUTIONS = (
 )
 
 
-@lru_cache(maxsize=None)
+@engine_cache
 def _riordan_pmf(n: int) -> tuple[Fraction, ...]:
     two = Fraction(2)
 

@@ -1,8 +1,10 @@
+import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longrun import (
@@ -49,6 +51,9 @@ class TestAlternativeSpec:
             AlternativeSpec.direct(F(0))
         with pytest.raises(ValueError):
             AlternativeSpec.direct(F(1))
+        for p in (F(3, 2), mpmath.mpf(1), mpmath.mpf(-0.5), mpmath.mpf("nan")):
+            with pytest.raises(ValueError):
+                AlternativeSpec(p=p)
 
     def test_gaussian_shift_carries_parameters(self):
         spec = AlternativeSpec.gaussian_shift(0.5, 2.0)
@@ -177,6 +182,54 @@ class TestAgainstEnumeration:
         region = rejection_region(n, alpha, tail, convention)
         got = power(n, alpha, tail, convention, AlternativeSpec(p=p)).power
         assert got == enumerated(n, p, lambda k, l: region.rejects(l))
+
+
+class TestMixture:
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(0, 2**80), min_size=1, max_size=60), p=rational_p)
+    def test_fraction_branch_is_the_direct_sum(self, counts, p):
+        n, a, b = len(counts) - 1, p.numerator, p.denominator
+        want = F(sum(c * a**k * (b - a) ** (n - k) for k, c in enumerate(counts)), b**n)
+        got = mixture(counts, p)
+        assert type(got) is Fraction and got == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(0, 600),
+        shape=st.sampled_from(("random", "first", "last", "zeros")),
+        seed=st.integers(0, 2**32),
+        log_d=st.floats(-80, math.log10(0.5)),  # log10 of the distance of p from 0 or from 1
+        near_one=st.booleans(),
+        prec=st.sampled_from((53, 166, 400)),  # 400: more bits than the mixture works at
+    )
+    @example(n=1200, shape="random", seed=1, log_d=-0.4, near_one=False, prec=166)
+    @example(n=1200, shape="random", seed=2, log_d=-30.0, near_one=True, prec=166)
+    @example(n=1200, shape="last", seed=3, log_d=-30.0, near_one=False, prec=53)
+    @example(n=400, shape="random", seed=4, log_d=-80.0, near_one=False, prec=166)
+    @example(n=300, shape="last", seed=5, log_d=-80.0, near_one=False, prec=53)
+    @example(n=300, shape="first", seed=6, log_d=-60.0, near_one=True, prec=400)
+    def test_mpf_branch_within_50_digits(self, n, shape, seed, log_d, near_one, prec):
+        rng = random.Random(seed)
+        counts = [0] * (n + 1)
+        if shape == "random":
+            counts = [rng.getrandbits(rng.randint(0, n)) for _ in counts]
+        elif shape != "zeros":
+            counts[0 if shape == "first" else n] = rng.getrandbits(n) + 1
+        with mpmath.workprec(prec):
+            if near_one:  # 1 - d rounds to 1 once d < 2^-prec
+                p = 1 - mpmath.mpf(10) ** max(log_d, 1 - 0.3 * prec)
+            else:  # below 1e-55 (2^-183) the mixture cuts 1 - p to its working bits
+                p = mpmath.mpf(10) ** log_d
+        got, want = mixture(counts, p), mixture(counts, dyadic(p))
+        assert isinstance(got, mpmath.mpf)
+        assert abs(dyadic(got) - want) <= want * F(1, 10**50)
+
+    def test_mpf_p_too_small_for_an_exact_1_minus_p(self):
+        # 1 - p needs about 7e11 bits exactly; a power of a sure rejection is 1
+        spec = AlternativeSpec.gaussian_shift(-1e6, 1.0)
+        got = power(60, F(1, 20), "unilateral", "paper", spec).power
+        with mpmath.workdps(60):
+            assert 0 <= 1 - got <= mpmath.mpf("1e-50")
 
 
 class TestOnePassPower:

@@ -57,6 +57,12 @@ class TestPlusRunCdf:
         # only the sequence 11 violates the bound
         assert plus_run_cdf(2, 1, "0.7") == 1 - F(49, 100)
 
+    @pytest.mark.parametrize("p", [1.5, "3/2", F(3, 2), 1, 0, "-0.1", mpmath.mpf(1)])
+    def test_rejects_p_outside_unit_interval(self, p):
+        # 1.5 used to give -8291/1024
+        with pytest.raises(ValueError):
+            plus_run_cdf(10, 3, p)
+
     def test_dominates_two_sided(self):
         for n in range(1, 13):
             for p in (F(3, 5), F(4, 5)):
@@ -69,6 +75,11 @@ class TestConvergenceReport:
     def test_rejects_fair_p(self):
         with pytest.raises(ValueError):
             convergence_report(3, F(1, 2), [10, 20])
+
+    @pytest.mark.parametrize("p", ["3/2", "1", "0"])
+    def test_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(ValueError):
+            convergence_report(3, p, [8, 16])
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):

@@ -181,6 +181,13 @@ class TestCommands:
         assert out.splitlines()[0] == "n,diff"
         assert len(out.strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("p", ["3/2", "1"])
+    def test_converge_p_outside_unit_interval(self, p, capsys):
+        # exited 0 with negative (3/2) or zero (1) gaps
+        code, out, err = run_cli(capsys, "converge", "--p", p, "--k", "3", "--n-grid", "8,16")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "between 0 and 1" in err
+
     def test_oracle_json(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "2")
         d = json.loads(out)

@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longrun import (
+    asymptotic,
+    brute_oracle,
     compositions_bounded,
+    conditional_counts,
     enumerate_joint,
+    exact_null,
     plus_run_counts,
     snk_dp,
     snk_proposition1,
@@ -176,3 +180,16 @@ class TestProposition1:
                         assert _special_correction(n, k, x) == _special_correction(
                             n, n - k, x
                         )
+
+
+def test_engine_caches_are_bounded():
+    cached = (
+        exact_null.null_table_by_counting,
+        exact_null._riordan_pmf,
+        conditional_counts.snk_dp,
+        conditional_counts._prop1_rows,
+        asymptotic.plus_run_counts,
+        brute_oracle.enumerate_joint,
+    )
+    for fn in cached:
+        assert fn.cache_info().maxsize == conditional_counts.CACHE_SIZE
