@@ -8,16 +8,6 @@ power under constant-shift alternatives, all in exact arithmetic.
 
 __version__ = "0.1.0"
 
-from .alternative import (
-    AlternativeSpec,
-    PowerResult,
-    alt_cdf,
-    attained_size,
-    p_from_gaussian_shift,
-    power,
-)
-from .asymptotic import ConvergenceReport, convergence_report, plus_run_cdf, plus_run_counts
-from .brute_oracle import JointCountTable, enumerate_joint, oracle_null_pmf, oracle_snk
 from .conditional_counts import (
     CountTable,
     compositions_bounded,
@@ -74,3 +64,31 @@ __all__ = [
     "snk_dp",
     "snk_proposition1",
 ]
+
+# Names whose modules (and mpmath) load on first use (PEP 562), so that
+# ``longrun test`` does not import the power and oracle engines.
+_LAZY = {
+    **dict.fromkeys(
+        ("AlternativeSpec", "PowerResult", "alt_cdf", "attained_size",
+         "p_from_gaussian_shift", "power"),
+        "alternative",
+    ),
+    **dict.fromkeys(
+        ("ConvergenceReport", "convergence_report", "plus_run_cdf", "plus_run_counts"),
+        "asymptotic",
+    ),
+    **dict.fromkeys(
+        ("JointCountTable", "enumerate_joint", "oracle_null_pmf", "oracle_snk"),
+        "brute_oracle",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -21,12 +21,9 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import mpmath
-
+# power, converge and oracle import their engines and mpmath when they run,
+# so a cold ``longrun test`` loads only what it uses
 from . import __version__
-from .alternative import AlternativeSpec, power
-from .asymptotic import convergence_report
-from .brute_oracle import enumerate_joint
 from .conditional_counts import snk_dp
 from .errors import (
     EmptyAfterDrop,
@@ -62,6 +59,8 @@ def prob_fields(value, precision: int) -> dict:
             "fraction": f"{value.numerator}/{value.denominator}",
             "decimal": fraction_decimal(value, precision),
         }
+    import mpmath  # only an mpf gets here, so mpmath is already loaded
+
     return {"fraction": None, "decimal": mpmath.nstr(value, precision)}
 
 
@@ -115,6 +114,8 @@ def ingest(source) -> tuple[ResidualSeries, int]:
             header = next(reader)
         except StopIteration:
             raise MissingColumns("empty input")
+        if header:  # the byte-order mark of a "CSV UTF-8" file, as Excel writes it
+            header[0] = header[0].removeprefix("\ufeff")
         cols = [h.strip().lower() for h in header]
         if {"x", "y", "fitted"} <= set(cols):
             names, build = ("x", "y", "fitted"), ResidualSeries.from_raw
@@ -264,6 +265,8 @@ def _cmd_critical(args) -> dict:
 
 
 def _cmd_power(args) -> dict:
+    from .alternative import AlternativeSpec, power
+
     if args.p is not None:
         spec = AlternativeSpec.direct(args.p)
     else:
@@ -300,6 +303,10 @@ def _cmd_snk(args) -> dict:
 
 
 def _cmd_converge(args) -> dict:
+    import mpmath
+
+    from .asymptotic import convergence_report
+
     grid = [int(v) for v in args.n_grid.split(",")]
     report = convergence_report(args.k, args.p, grid)
     rows = [
@@ -316,6 +323,8 @@ def _cmd_converge(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
+    from .brute_oracle import enumerate_joint
+
     table = enumerate_joint(args.n)
     rows = [
         {"k": k, "l": l, "count": c}

@@ -3,9 +3,11 @@
 ``snk(n, x)[k]`` is the number of length-``n`` binary sequences with
 ``k`` ones in which no run of either symbol is longer than ``x``.  Two
 engines compute it: the run-state kernel ``bounded_runs`` (authoritative;
-it also counts the null law and the one-sided bounds), and a
-re-derivation of the published four-case recursion whose misprints were
-reconciled against the kernel (see the DiscrepancyReport it returns).
+it also counts the one-sided bounds), and a re-derivation of the
+published four-case recursion whose misprints were reconciled against the
+kernel (see the DiscrepancyReport it returns).  The null law needs only
+the symmetric total, which ``compositions_bounded`` counts with the
+kernel's one-sequence specialisation.
 """
 
 from __future__ import annotations
@@ -81,13 +83,35 @@ def compositions_bounded(n: int, x: int) -> int:
     """Number of compositions of n into parts from {1..x}.
 
     compositions_bounded(0, x) == 1 (the empty composition).  For n >= 1
-    the parts are the runs of the strings that start with a one.
+    the parts are the runs of the strings that start with a one, so the
+    count is ``bounded_runs(n, x, x) // 2``.  With x1 = x0 and no packing
+    the kernel's two sequences are equal, which leaves the window
+    recurrence c(m) = 2 c(m-1) - c(m-1-x) for m > x (Schilling, College
+    Math. J. 1990), from c(0) = 1 and c(m) = 2^(m-1) for 1 <= m <= x.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return bounded_runs(n, x, x) // 2 if n else 1
+    return _compositions(n, x, _first_compositions(min(x + 1, n - x)))
+
+
+def _first_compositions(terms: int) -> list[int]:
+    """``terms`` counts 1, 1, 2, 4, ...: c(m) for m <= x, which the part bound x does not reach."""
+    return [1] + [1 << m for m in range(terms - 1)]
+
+
+def _compositions(n: int, x: int, firsts: list[int]) -> int:
+    if n <= x:
+        return 1 << (n - 1) if n else 1
+    # step m reads c(m-1-x), and m-1-x <= n-1-x: the window starts with
+    # c(0..x), or only c(0..n-1-x) when x >= (n-1)/2; appended terms follow
+    window = deque(firsts[: min(x + 1, n - x)])
+    last = 1 << (x - 1)  # c(x)
+    for _ in range(n - x):
+        last = (last << 1) - window.popleft()
+        window.append(last)
+    return last
 
 
 def _validate(n: int, x: int) -> None:

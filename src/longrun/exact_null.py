@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-from .conditional_counts import bounded_runs, engine_cache
+from .conditional_counts import _compositions, _first_compositions, engine_cache
 from .discrepancy import DiscrepancyReport, Resolution
 from .errors import ObservedOutOfRange
 
@@ -67,12 +67,16 @@ def null_table_by_counting(n: int) -> ProbabilityTable:
     """Null pmf via bounded-run counting (authoritative engine).
 
     Pr(L_n <= x) is the number of length-n binary strings whose runs of
-    either symbol are at most x, over 2^n; the run-state kernel
-    ``bounded_runs`` counts them once per x.
+    either symbol are at most x, over 2^n.  Those strings are twice the
+    compositions of n into parts <= x (one for each first sign), counted
+    per x by the one-sequence window recurrence of
+    ``compositions_bounded``, all x sharing the initial powers of two.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return ProbabilityTable(n=n, below=tuple(bounded_runs(n, x, x) for x in range(n + 1)))
+    firsts = _first_compositions((n + 1) // 2)  # the most any x reads: min(x + 1, n - x)
+    below = (0, *(_compositions(n, x, firsts) << 1 for x in range(1, n + 1)))
+    return ProbabilityTable(n=n, below=below)
 
 
 #: The published recursion multiplies probabilities by factorials, which

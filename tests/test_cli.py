@@ -1,8 +1,11 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_module(*args, stdin=b""):
+    """``python <args>`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+BOM_CSV = "\ufeffx,residual\n0,0.5\n1,-1.5\n2,0.5\n3,0.5\n"
 
 
 class TestIngest:
@@ -198,6 +214,25 @@ class TestCommands:
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "test", "-i", "/nonexistent.csv")
         assert code == EXIT_INPUT
+
+    def test_bom_file(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_text(BOM_CSV, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "test", "-i", str(path))
+        assert code == EXIT_OK
+        assert json.loads(out)["statistic"]["l_n"] == 2
+
+    def test_bom_stdin(self):
+        proc = run_module("-m", "longrun.cli", "test", "-i", "-", stdin=BOM_CSV.encode("utf-8"))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["statistic"]["l_n"] == 2
+
+    def test_cold_test_does_not_import_mpmath(self, small_csv):
+        proc = run_module("-X", "importtime", "-m", "longrun.cli", "test", "-i", small_csv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        imported = {line.rsplit(b"|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert b"longrun.exact_null" in imported
+        assert b"mpmath" not in imported
 
     def test_zero_residual_default_policy(self, tmp_path, capsys):
         path = tmp_path / "r.csv"

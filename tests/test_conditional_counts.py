@@ -2,7 +2,7 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longrun import (
@@ -41,6 +41,24 @@ class TestCompositions:
     def test_against_listing(self, x):
         for n in range(0, 9):
             assert compositions_bounded(n, x) == brute_compositions(n, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n + 2))))
+    @example((0, 1))
+    @example((0, 2))
+    @example((1, 1))
+    @example((1, 2))
+    @example((1, 3))
+    @example((2, 1))
+    @example((300, 299))
+    @example((300, 300))
+    @example((300, 301))
+    @example((299, 149))
+    @example((299, 150))
+    def test_window_recurrence_equals_kernel(self, case):
+        n, x = case
+        # one string per first sign, except the empty string, counted once
+        assert compositions_bounded(n, x) == (bounded_runs(n, x, x) // 2 if n else 1)
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from longrun import (
     p_value,
     snk_dp,
 )
+from longrun.conditional_counts import bounded_runs
 from longrun.errors import ObservedOutOfRange
 from longrun.exact_null import rejection_region
 
@@ -56,6 +57,11 @@ class TestCountingEngine:
         for x in range(1, n + 1):
             total = sum(snk_dp(n, x).counts)
             assert F(total, 2**n) == t.cdf(x)
+
+    @pytest.mark.parametrize("n", [*range(1, 151), 333, 1000])
+    def test_below_equals_kernel(self, n):
+        below = tuple(bounded_runs(n, x, x) for x in range(n + 1))
+        assert null_table_by_counting(n).below == below
 
     @pytest.mark.parametrize("n", [1, 2, 7, 20])
     def test_cdf_and_sf_are_prefix_sums(self, n):
