@@ -1,13 +1,12 @@
 """Counts of sign sequences with bounded run length, split by number of ones.
 
 ``snk(n, x)[k]`` is the number of length-``n`` binary sequences with
-``k`` ones in which no run of either symbol is longer than ``x``.  Two
-engines compute it: the run-state kernel ``bounded_runs`` (authoritative;
-it also counts the one-sided bounds), and a re-derivation of the
-published four-case recursion whose misprints were reconciled against the
-kernel (see the DiscrepancyReport it returns).  The null law needs only
-the symmetric total, which ``compositions_bounded`` counts with the
-kernel's one-sequence specialisation.
+``k`` ones in which no run of either symbol is longer than ``x``.  The
+run-state kernel ``bounded_runs`` computes it (and the one-sided bounds);
+the published four-case recursion, reconciled against the kernel, lives
+in ``longrun.published``.  The null law needs only the symmetric total,
+which ``compositions_bounded`` counts with the kernel's one-sequence
+specialisation.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
-
-from .discrepancy import DiscrepancyReport, Resolution
 
 CACHE_SIZE = 32  #: entries per cached engine; a power study at four n uses 20 count tables
 engine_cache = lru_cache(maxsize=CACHE_SIZE)
@@ -126,102 +122,3 @@ def snk_dp(n: int, x: int) -> CountTable:
     """Bounded-run counts from the run-state kernel ``bounded_runs``."""
     _validate(n, x)
     return CountTable(n=n, x=x, counts=counts_by_ones(n, x, x), engine="dp")
-
-
-#: Corrections applied to the published four-case recursion, each
-#: validated by exact agreement with snk_dp on an exhaustive grid.
-PROPOSITION1_RESOLUTIONS = (
-    Resolution(
-        location="case 2 (n-k <= x, k > x)",
-        literal="S_n^(k)(x) = sum_{j=0}^{x} S_{n-j}^{(k)}(x)",
-        corrected="S_n^(k)(x) = sum_{j=0}^{x} S_{n-1-j}^{(k-j)}(x)",
-        note="literal sum contains its own left-hand side at j=0; "
-        "corrected form conditions on the leading run of ones (length j) "
-        "followed by a zero",
-    ),
-    Resolution(
-        location="case 3 (n-k > x, k <= x)",
-        literal="S_n^(k)(x) = sum_{j=0}^{x} S_{n-j}^{(k+1-j)}(x)",
-        corrected="S_n^(k)(x) = sum_{j=0}^{x} S_{n-1-j}^{(k-1)}(x)",
-        note="literal form fails small cases (n=5, k=2, x=2 gives 16, "
-        "true count 7); corrected form conditions on the leading run of "
-        "zeros (length j) followed by a one",
-    ),
-    Resolution(
-        location="case 4 special points",
-        literal="(k, n) = (2j(x+1)+i, j(x+1)) and companions",
-        corrected="(n, k) = (2j(x+1)+i, j(x+1)) and companions",
-        note="printed coordinate order implies k > n, which is impossible; "
-        "families hold with (k, n) read as (n, k), j >= 1, 1 <= i <= x",
-    ),
-    Resolution(
-        location="conventions",
-        literal="R^(0)_0(x) = 1 stated for R, S^(0)_0(x) = 1 stated in the proof",
-        corrected="S^(0)_0(x) = 1; negative n or k gives 0; k > n gives 0",
-        note="the convention must bind the S terms inside the series for "
-        "the inclusion-exclusion to terminate correctly",
-    ),
-)
-
-
-def _special_correction(n: int, k: int, x: int) -> int:
-    # families (n, k) = f(i, j) with j >= 1, 1 <= i <= x; +1 families first
-    corr = 0
-    w = x + 1
-    for j in range(1, n // w + 2):
-        for i in range(1, x + 1):
-            if (n, k) in ((2 * j * w + i, j * w), (2 * j * w + i, j * w + i)):
-                corr += 1
-            if (n, k) in (((2 * j + 1) * w + i, j * w + i), ((2 * j + 1) * w + i, (j + 1) * w)):
-                corr -= 1
-    return corr
-
-
-@engine_cache
-def _prop1_rows(n: int, x: int) -> tuple[tuple[int, ...], ...]:
-    """All rows S_m^(k)(x) for m = 0..n via the corrected recursion, bottom-up."""
-    rows: list[tuple[int, ...]] = [(1,)]  # S_0^(0) = 1
-
-    def S(m: int, k: int) -> int:
-        if m < 0 or k < 0 or k > m:
-            return 0
-        return rows[m][k]
-
-    for m in range(1, n + 1):
-        row = []
-        for k in range(m + 1):
-            if m - k <= x and k <= x:
-                v = comb(m, k)
-            elif m - k <= x:  # k > x: only runs of ones can violate the bound
-                v = sum(S(m - 1 - j, k - j) for j in range(x + 1))
-            elif k <= x:  # only runs of zeros can violate the bound
-                v = sum(S(m - 1 - j, k - 1) for j in range(x + 1))
-            else:
-                # inclusion-exclusion over the 2x possible beginnings
-                v = 0
-                w = x + 1
-                j = 0
-                while m - 2 - 2 * j * w >= 0:
-                    for i in range(1, x + 1):
-                        v += S(m - 1 - i - 2 * j * w, k - 1 - j * w)
-                        v += S(m - 1 - i - 2 * j * w, k - i - j * w)
-                        v -= S(m - 1 - (2 * j + 1) * w - i, k - (j + 1) * w)
-                        v -= S(m - 1 - (2 * j + 1) * w - i, k - 1 - j * w - i)
-                    j += 1
-                v += _special_correction(m, k, x)
-            row.append(v)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def snk_proposition1(n: int, x: int) -> tuple[CountTable, DiscrepancyReport]:
-    """Bounded-run counts via the corrected published recursion.
-
-    Returns the table together with the report of corrections applied
-    to the printed formula; an empty ``mismatches`` list means the
-    corrected recursion agrees with the DP wherever validated.
-    """
-    _validate(n, x)
-    counts = _prop1_rows(n, x)[n]
-    report = DiscrepancyReport(engine="proposition1", resolutions=PROPOSITION1_RESOLUTIONS)
-    return CountTable(n=n, x=x, counts=counts, engine="proposition1"), report

@@ -1,10 +1,10 @@
 """Exact null distribution of the longest-run statistic, critical values, p-values.
 
 Under the null the residual signs are independent fair coin flips, so
-every probability is a rational with denominator 2^n.  The counting
-engine is authoritative; the published recursion is kept as a
-cross-check (its printed factorials must be read as powers of two, see
-``RIORDAN_RESOLUTIONS``).
+every probability is a rational with denominator 2^n, kept as the
+integer count over 2^n from the bounded-run counting engine.  The
+published null recursion, a cross-check of this engine, lives in
+``longrun.published``.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 
 from .conditional_counts import _compositions, _first_compositions, engine_cache
-from .discrepancy import DiscrepancyReport, Resolution
 from .errors import ObservedOutOfRange
 
 CONVENTIONS = ("paper", "conservative")
@@ -77,84 +75,6 @@ def null_table_by_counting(n: int) -> ProbabilityTable:
     firsts = _first_compositions((n + 1) // 2)  # the most any x reads: min(x + 1, n - x)
     below = (0, *(_compositions(n, x, firsts) << 1 for x in range(1, n + 1)))
     return ProbabilityTable(n=n, below=below)
-
-
-#: The published recursion multiplies probabilities by factorials, which
-#: is dimensionally impossible for a law supported on 2^n equiprobable
-#: sequences.  Reading every factorial m! as 2^m reproduces the counting
-#: engine exactly for every n checked.
-RIORDAN_RESOLUTIONS = (
-    Resolution(
-        location="null recursion",
-        literal="(n-1)! Pr(L_n=k) = 2(n-2)! Pr(L_{n-1}=k) - (n-k-2)! Pr(L_{n-k-1}=k)"
-        " + (n-2)! Pr(L_{n-1}=k-1) - 2(n-3)! Pr(L_{n-2}=k-1) + (n-k-1)! Pr(L_{n-k}=k-1)",
-        corrected="same recursion with every factorial m! read as 2^m",
-        note="with powers of two the relation is a count identity over "
-        "2^m equiprobable sign sequences; terms whose index m is < 1 "
-        "vanish because Pr(L_m = k) = 0 there",
-    ),
-)
-
-
-@engine_cache
-def _riordan_pmf(n: int) -> tuple[Fraction, ...]:
-    two = Fraction(2)
-
-    table: list[list[Fraction]] = [[]]  # table[m][k-1] = Pr(L_m = k)
-    for m in range(1, n + 1):
-        row: list[Fraction] = []
-        for k in range(1, m + 1):
-
-            def P(mm: int, kk: int) -> Fraction:
-                if mm < 1 or kk < 1 or kk > mm:
-                    return Fraction(0)
-                return table[mm][kk - 1]
-
-            if k == 1:
-                v = Fraction(1, 2 ** (m - 1))
-            elif m == 2 and k == 2:
-                v = Fraction(1, 2)
-            else:
-                rhs = 2 * two ** (m - 2) * P(m - 1, k)
-                if m - k - 1 >= 1:
-                    rhs -= two ** (m - k - 2) * P(m - k - 1, k)
-                rhs += two ** (m - 2) * P(m - 1, k - 1)
-                rhs -= 2 * two ** (m - 3) * P(m - 2, k - 1)
-                if m - k >= 1:
-                    rhs += two ** (m - k - 1) * P(m - k, k - 1)
-                v = rhs / two ** (m - 1)
-            row.append(v)
-        table.append(row)
-    return tuple(table[n])
-
-
-def null_table_riordan(n: int) -> tuple[ProbabilityTable, DiscrepancyReport]:
-    """Null pmf via the published recursion (cross-check engine).
-
-    Returns the table and a report: the documented factorial-to-power
-    resolution plus any remaining cell-level disagreement with the
-    counting engine (none is expected).
-    """
-    if n < 2:
-        raise ValueError("the recursion needs n >= 2")
-    pmf = _riordan_pmf(n)
-    reference = null_table_by_counting(n)
-    mismatches = tuple(
-        {
-            "n": n,
-            "k": k,
-            "riordan": str(pmf[k - 1]),
-            "counting": str(reference.pmf[k - 1]),
-        }
-        for k in range(1, n + 1)
-        if pmf[k - 1] != reference.pmf[k - 1]
-    )
-    report = DiscrepancyReport(
-        engine="riordan", resolutions=RIORDAN_RESOLUTIONS, mismatches=mismatches
-    )
-    # every Pr(L_n = k) of the recursion is a multiple of 2^-(n-1)
-    below = tuple(accumulate((int(q * 2**n) for q in pmf), initial=0))
-    return ProbabilityTable(n=n, below=below), report
 
 
 def critical_value(

@@ -228,11 +228,21 @@ class TestCommands:
         assert json.loads(proc.stdout)["statistic"]["l_n"] == 2
 
     def test_cold_test_does_not_import_mpmath(self, small_csv):
-        proc = run_module("-X", "importtime", "-m", "longrun.cli", "test", "-i", small_csv)
+        # the body of the installed ``longrun`` script, so that longrun.cli is imported
+        script = "import sys; from longrun.cli import main; sys.exit(main())"
+        proc = run_module("-X", "importtime", "-c", script, "test", "-i", small_csv)
         assert proc.returncode == EXIT_OK, proc.stderr
         imported = {line.rsplit(b"|", 1)[-1].strip() for line in proc.stderr.splitlines()}
         assert b"longrun.exact_null" in imported
         assert b"mpmath" not in imported
+        assert {m for m in imported if m.split(b".")[0] == b"longrun"} == {
+            b"longrun",
+            b"longrun.cli",
+            b"longrun.conditional_counts",
+            b"longrun.errors",
+            b"longrun.exact_null",
+            b"longrun.run_stats",
+        }
 
     def test_zero_residual_default_policy(self, tmp_path, capsys):
         path = tmp_path / "r.csv"

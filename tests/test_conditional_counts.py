@@ -13,10 +13,12 @@ from longrun import (
     enumerate_joint,
     exact_null,
     plus_run_counts,
+    published,
     snk_dp,
     snk_proposition1,
 )
-from longrun.conditional_counts import _special_correction, bounded_runs, counts_by_ones
+from longrun.conditional_counts import bounded_runs, counts_by_ones
+from longrun.published import _special_correction
 
 
 def brute_compositions(n, x):
@@ -189,6 +191,17 @@ class TestProposition1:
         assert "case 3 (n-k > x, k <= x)" in locations
         assert "case 4 special points" in locations
 
+    def test_report_flags_counts_that_differ_from_dp(self, monkeypatch):
+        published._prop1_rows.cache_clear()
+        monkeypatch.setattr(published, "_special_correction", lambda n, k, x: 0)
+        try:
+            table, report = snk_proposition1(5, 1)
+            assert table.counts != snk_dp(5, 1).counts
+            assert not report.clean
+            assert {"n": 5, "x": 1, "k": 2, "published": 0, "kernel": 1} in report.mismatches
+        finally:
+            published._prop1_rows.cache_clear()
+
     def test_correction_set_symmetric(self):
         # the +-1 special points are closed under the flip k -> n-k
         for x in range(1, 5):
@@ -203,9 +216,9 @@ class TestProposition1:
 def test_engine_caches_are_bounded():
     cached = (
         exact_null.null_table_by_counting,
-        exact_null._riordan_pmf,
+        published._riordan_pmf,
         conditional_counts.snk_dp,
-        conditional_counts._prop1_rows,
+        published._prop1_rows,
         asymptotic.plus_run_counts,
         brute_oracle.enumerate_joint,
     )

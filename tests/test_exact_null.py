@@ -92,6 +92,10 @@ class TestRiordanEngine:
         assert report.clean
         assert t.pmf == null_table_by_counting(n).pmf
 
+    @pytest.mark.parametrize("n", [*range(2, 151), 300])
+    def test_below_equals_counting(self, n):
+        assert null_table_riordan(n)[0].below == null_table_by_counting(n).below
+
     def test_report_documents_resolution(self):
         _, report = null_table_riordan(6)
         assert report.resolutions
