@@ -24,6 +24,7 @@ from .conditional_counts import snk_dp
 from .exact_null import rejection_region
 
 INTERNAL_DPS = 50
+TAIL_BITS = 1 << 16  # a Gaussian-shift 1 - p below ~2^-TAIL_BITS (c/sigma > ~301) rounds p to 1
 
 Prob = Fraction | mpmath.mpf
 
@@ -67,11 +68,15 @@ class PowerResult:
 
 
 def p_from_gaussian_shift(c: float, sigma: float) -> mpmath.mpf:
-    """p = Phi(c / sigma) for centered Gaussian errors shifted by c."""
+    """p = Phi(c/sigma) for Gaussian errors shifted by c; 1 - Phi(-c/sigma) if that rounds to 1."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     with mpmath.workdps(INTERNAL_DPS):
-        return mpmath.ncdf(mpmath.mpf(c) / mpmath.mpf(sigma))
+        z = mpmath.mpf(c) / mpmath.mpf(sigma)
+        if (p := mpmath.ncdf(z)) != 1:
+            return p
+        q = mpmath.ncdf(-z)
+        return mpmath.fsub(1, q, prec=mpmath.mp.prec - max(mpmath.mag(q), -TAIL_BITS))
 
 
 def as_prob(p: Prob | float | str) -> Prob:

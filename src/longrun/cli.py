@@ -20,6 +20,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 
 # power, converge and oracle import their engines and mpmath when they run,
 # so a cold ``longrun test`` loads only what it uses
@@ -105,7 +107,10 @@ def ingest(source) -> tuple[ResidualSeries, int]:
     """Parse a residual CSV into a covariate-ordered series.
 
     Accepts header (x, y, fitted) or (x, residual).  Returns the series
-    plus 0 dropped rows (zero dropping happens at sign time).
+    plus 0 dropped rows (zero dropping happens at sign time).  Blank and
+    whitespace-only rows are dropped, then each column is parsed and checked
+    finite in one C-level pass; only if that fails does a row loop run, to
+    raise at the first bad row's line (before any read error past that row).
     """
     named = isinstance(source, (str, bytes))
     with open(source, newline="", encoding="utf-8") if named else nullcontext(source) as fh:
@@ -126,21 +131,30 @@ def ingest(source) -> tuple[ResidualSeries, int]:
                 f"header {header!r} lacks columns (x, y, fitted) or (x, residual)"
             )
         idx = [cols.index(name) for name in names]
-        data = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                vals = [float(row[i]) for i in idx]
-            except (ValueError, IndexError) as exc:
-                raise ParseError(lineno, f"cannot parse row {row!r}: {exc}")
-            for v, i in zip(vals, idx):
-                if not math.isfinite(v):
-                    raise NonFiniteValue(lineno, cols[i])
-            data.append(vals)
-    if not data:
-        raise MissingColumns("no data rows")
-    return build(*zip(*data)), 0
+        rows, err = [], None
+        try:
+            rows.extend(reader)
+        except Exception as exc:  # raised once the rows read before it are checked
+            err = exc
+        kept = list(compress(rows, map(str.strip, map("".join, rows))))
+        try:
+            columns = [list(map(float, map(itemgetter(i), kept))) for i in idx]
+            bad = not all(all(map(math.isfinite, c)) for c in columns)
+        except (ValueError, IndexError):
+            bad = True
+        if bad:  # the row loop, only to raise at the first bad row's line
+            for lineno, row in compress(enumerate(rows, 2), map(str.strip, map("".join, rows))):
+                try:
+                    vals = [float(row[i]) for i in idx]
+                except (ValueError, IndexError) as exc:
+                    raise ParseError(lineno, f"cannot parse row {row!r}: {exc}")
+                for v, i in zip(vals, idx):
+                    if not math.isfinite(v):
+                        raise NonFiniteValue(lineno, cols[i])
+    if err or not kept:
+        raise err or MissingColumns("no data rows")
+    del rows, kept  # before build, to cap the peak memory of a large file
+    return build(*columns), 0
 
 
 def run_test(

@@ -2,12 +2,16 @@
 
 Residuals are ordered by the covariate; each one contributes a bit
 (1 for positive, 0 for negative) and the test statistic is the length
-of the longest block of equal bits.
+of the longest block of equal bits.  Each step is one C-level pass: the
+bits are one ``bytes`` from ``operator.gt`` against 0 (``0 in residuals``
+finds zeros, -0.0 too), and L+ and L- its longest pieces split at 0 and 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, repeat, starmap
+from operator import eq, gt, itemgetter, sub
 from typing import Iterable, Sequence
 
 from .errors import EmptyAfterDrop, EmptySequence, ZeroResidual
@@ -37,18 +41,18 @@ class ResidualSeries:
 
     @property
     def residuals(self) -> tuple[float, ...]:
-        return tuple(r for _, r in self.points)
+        return tuple(map(itemgetter(1), self.points))
 
     @classmethod
     def from_residuals(cls, x: Iterable[float], residuals: Iterable[float]) -> "ResidualSeries":
         pts = list(zip(x, residuals, strict=True))
-        pts.sort(key=lambda p: p[0])  # sort is stable: covariate ties keep input order
+        pts.sort(key=itemgetter(0))  # sort is stable: covariate ties keep input order
         return cls(points=tuple(pts), source="precomputed")
 
     @classmethod
     def from_raw(cls, x: Iterable[float], y: Iterable[float], fitted: Iterable[float]) -> "ResidualSeries":
-        pts = [(xi, yi - fi) for xi, yi, fi in zip(x, y, fitted, strict=True)]
-        pts.sort(key=lambda p: p[0])
+        pts = list(zip(x, starmap(sub, zip(y, fitted, strict=True)), strict=True))
+        pts.sort(key=itemgetter(0))
         return cls(points=tuple(pts), source="raw")
 
 
@@ -83,42 +87,32 @@ def signs_from_residuals(series: ResidualSeries, zero_policy: str = "error") -> 
     """
     if zero_policy not in ZERO_POLICIES:
         raise ValueError(f"unknown zero policy {zero_policy!r}")
-    bits = []
-    zeros = []
-    for i, r in enumerate(series.residuals):
-        if r == 0:
-            if zero_policy == "error":
-                raise ZeroResidual(f"residual at ordered index {i} is exactly zero")
-            zeros.append(i)
-        else:
-            bits.append(1 if r > 0 else 0)
+    res = series.residuals
+    zeros = tuple(compress(count(), map(eq, res, repeat(0)))) if 0 in res else ()
+    if zeros and zero_policy == "error":
+        raise ZeroResidual(f"residual at ordered index {zeros[0]} is exactly zero")
+    # filter drops the zeros; bool, as a NumPy scalar's > gives numpy.bool, which bytes() refuses
+    bits = bytes(map(bool, map(gt, filter(None, res), repeat(0))))
     if not bits:
         raise EmptyAfterDrop("all residuals are zero")
-    return SignSequence(bits=tuple(bits), zero_positions=tuple(zeros))
+    return SignSequence(bits=tuple(bits), zero_positions=zeros)
 
 
 def longest_runs(seq: SignSequence | Sequence[int]) -> RunSummary:
     """Longest run of ones, of zeros, and of either, plus the count of ones.
 
-    Single pass over the bits; runs of length zero are reported when a
-    symbol does not occur at all.
+    Runs of length zero are reported when a symbol does not occur at all.
+    A bit not equal to 0 or 1 (``True`` and ``1.0`` are) raises ValueError.
     """
     bits = seq.bits if isinstance(seq, SignSequence) else tuple(seq)
-    if not bits:
+    try:
+        packed = bytes(bits)
+    except (TypeError, ValueError):  # not all ints in 0..255; 2 stands for a non-bit
+        packed = bytes(1 if b == 1 else 0 if b == 0 else 2 for b in bits)
+    if packed.translate(None, b"\0\1"):
+        raise ValueError("sign bits must be 0 or 1")
+    if not packed:
         raise EmptySequence("cannot compute runs of an empty sequence")
-    l_plus = l_minus = 0
-    run = 0
-    prev = None
-    for b in bits:
-        run = run + 1 if b == prev else 1
-        prev = b
-        if b:
-            l_plus = max(l_plus, run)
-        else:
-            l_minus = max(l_minus, run)
-    return RunSummary(
-        l_plus=l_plus,
-        l_minus=l_minus,
-        l_n=max(l_plus, l_minus),
-        k=sum(bits),
-    )
+    l_plus = max(map(len, packed.split(b"\0")))
+    l_minus = max(map(len, packed.split(b"\1")))
+    return RunSummary(l_plus=l_plus, l_minus=l_minus, l_n=max(l_plus, l_minus), k=packed.count(1))

@@ -290,3 +290,33 @@ class TestGaussianShift:
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             p_from_gaussian_shift(1.0, 0.0)
+
+    def test_p_unchanged_where_phi_is_below_one(self):
+        # the 1 - Phi(-c/sigma) path runs only where Phi(c/sigma) rounds to 1
+        for c in [F(i, 8) for i in range(-64, 65)] + [F(15), F(151, 10)]:
+            for sigma in (0.5, 1.0, 3.0):
+                with mpmath.workdps(50):
+                    want = mpmath.ncdf(mpmath.mpf(float(c)) / mpmath.mpf(sigma))
+                if want < 1:
+                    assert p_from_gaussian_shift(float(c), sigma)._mpf_ == want._mpf_
+
+    @pytest.mark.parametrize("shift", [15.2, 16.0, 40.0])
+    def test_phi_rounding_to_one_keeps_1_minus_p(self, shift):
+        p = p_from_gaussian_shift(shift, 1.0)
+        with mpmath.workdps(60):
+            tail = mpmath.ncdf(-mpmath.mpf(shift))
+            assert abs((1 - p) / tail - 1) < mpmath.mpf("1e-49")
+
+    @pytest.mark.parametrize("tail", TAILS)
+    @pytest.mark.parametrize("shift", [16.0, 40.0])
+    def test_power_beyond_phi_rounding_within_50_digits(self, shift, tail):
+        spec = AlternativeSpec.gaussian_shift(shift, 1.0)
+        for alpha in (F(1, 20), F(1, 1000)):
+            got = power(60, alpha, tail, "paper", spec).power
+            want = power(60, alpha, tail, "paper", AlternativeSpec(p=dyadic(spec.p))).power
+            assert abs(dyadic(got) - want) <= want * F(1, 10**50)
+
+    def test_shift_past_tail_bits_is_refused(self):
+        # 1 - p ~ 1e-217147240959 would need ~7e11 bits; p rounds to 1 and is refused
+        with pytest.raises(ValueError):
+            AlternativeSpec.gaussian_shift(1e6, 1.0)

@@ -1,13 +1,18 @@
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from longrun import AlternativeSpec, ResidualSeries, power
 from longrun.cli import (
@@ -44,6 +49,96 @@ def run_module(*args, stdin=b""):
 BOM_CSV = "\ufeffx,residual\n0,0.5\n1,-1.5\n2,0.5\n3,0.5\n"
 
 
+def row_loop_ingest(source):
+    """``ingest`` as a Python loop over the rows: the reference for the column pass."""
+    named = isinstance(source, (str, bytes))
+    with open(source, newline="", encoding="utf-8") if named else nullcontext(source) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MissingColumns("empty input")
+        if header:
+            header[0] = header[0].removeprefix("\ufeff")
+        cols = [h.strip().lower() for h in header]
+        if {"x", "y", "fitted"} <= set(cols):
+            names, build = ("x", "y", "fitted"), ResidualSeries.from_raw
+        elif {"x", "residual"} <= set(cols):
+            names, build = ("x", "residual"), ResidualSeries.from_residuals
+        else:
+            raise MissingColumns(
+                f"header {header!r} lacks columns (x, y, fitted) or (x, residual)"
+            )
+        idx = [cols.index(name) for name in names]
+        data = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                vals = [float(row[i]) for i in idx]
+            except (ValueError, IndexError) as exc:
+                raise ParseError(lineno, f"cannot parse row {row!r}: {exc}")
+            for v, i in zip(vals, idx):
+                if not math.isfinite(v):
+                    raise NonFiniteValue(lineno, cols[i])
+            data.append(vals)
+    if not data:
+        raise MissingColumns("no data rows")
+    return build(*zip(*data)), 0
+
+
+def ingest_outcome(fn, make_source):
+    """What ``fn`` makes of a CSV: the exact points and source, or the exception."""
+    try:
+        series, dropped = fn(make_source())
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return repr(series.points), series.source, dropped
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["0", "0.0", "-0.0", "1e3", " 7 ", '"1.5"', '" -2.5 "']),
+)
+JUNK = st.sampled_from(
+    ["nan", "-inf", "inf", "oops", "", "  ", '"1,5"', '"a\nb"', "0x10", "1_0", "NaN"]
+)
+
+
+@st.composite
+def residual_csvs(draw):
+    """CSV text in either header form, with the rows ``ingest`` must parse, skip or refuse."""
+    names = list(draw(st.sampled_from([("x", "y", "fitted"), ("x", "residual")])))
+    names += draw(st.lists(st.sampled_from(["id", "note", "w"]), max_size=2, unique=True))
+    names = draw(st.permutations(names))
+    header = [draw(st.sampled_from([h, h.upper(), f" {h} "])) for h in names]
+    if draw(st.integers(0, 19)) == 0:
+        header = header[:1]  # too few columns
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 9))
+        if kind < 6:
+            cells = {"x": draw(st.sampled_from(["0", "1", "1.0", "2", "-3.5"]))}  # ties
+            for h in ("residual", "fitted", "id", "note", "w"):
+                cells[h] = draw(NUMBERS)
+            cells["y"] = cells["fitted"] if draw(st.booleans()) else draw(NUMBERS)
+            row = [cells[h] for h in names]
+            if draw(st.integers(0, 4)) == 0:
+                i = draw(st.integers(0, len(row) - 1))
+                row[i] = draw(JUNK)
+            if draw(st.integers(0, 4)) == 0:
+                row = row[: draw(st.integers(0, len(row)))]  # a short row
+            rows.append(",".join(row))
+        elif kind < 8:
+            rows.append(draw(st.sampled_from(["", "   ", " , ", "\t", ",,"])))
+        else:
+            rows.append(",".join(draw(st.lists(st.one_of(NUMBERS, JUNK), max_size=5))))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join([",".join(header)] + rows) + draw(st.sampled_from(["", end]))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
 class TestIngest:
     def test_three_column(self):
         series, _ = ingest(io.StringIO("x,y,fitted\n1,2,1.5\n0,0,0.2\n"))
@@ -70,6 +165,33 @@ class TestIngest:
     def test_blank_rows_skipped(self):
         series, _ = ingest(io.StringIO("x,residual\n1,0.3\n\n2,-0.1\n"))
         assert series.n == 2
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(residual_csvs())
+    @example("")
+    @example("x,residual\n")
+    @example("x,residual\n  \n\t\n")
+    @example("x,residual\n\n   \n1,-0.0\n0,0\n")
+    def test_column_pass_equals_row_loop(self, text):
+        got = ingest_outcome(ingest, lambda: io.StringIO(text))
+        assert got == ingest_outcome(row_loop_ingest, lambda: io.StringIO(text))
+
+    @pytest.mark.parametrize("tail, read_error", [
+        (b"2,\xff\n", UnicodeDecodeError),
+        (b'2,"' + b"9" * 200_000 + b'"\n', csv.Error),
+    ], ids=["undecodable", "oversized"])
+    @pytest.mark.parametrize("head, error, line", [
+        (b"", None, None),
+        (b"\n  ,  \n1,0.5\n2,nan\n", NonFiniteValue, 5),
+        (b"\n  ,  \n1,0.5\n2,oops\n", ParseError, 5),
+    ], ids=["good", "nan", "oops"])
+    def test_read_error_after_rows(self, tmp_path, tail, read_error, head, error, line):
+        # unreadable text after 20 KB of rows: a bad row before it is still named by line
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"x,residual\n" + head + b"3,0.25\n" * 3000 + tail)
+        got = ingest_outcome(ingest, lambda: str(path))
+        assert got == ingest_outcome(row_loop_ingest, lambda: str(path))
+        assert got[:2] == (error or read_error, line)
 
 
 class TestRunTest:
@@ -178,6 +300,14 @@ class TestCommands:
         d = json.loads(out)
         assert code == EXIT_OK
         assert 0 < float(d["power"]["decimal"]) < 1
+
+    def test_power_with_shift_beyond_phi_rounding(self, capsys):
+        # Phi(16) rounds to 1 at 50 digits; 1 - p = Phi(-16) ~ 6.4e-58 is kept
+        code, out, _ = run_cli(
+            capsys, "power", "--n", "60", "--alpha", "1/20", "--shift", "16", "--sigma", "1",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["power"]["decimal"] == "1.0"
 
     def test_power_config_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

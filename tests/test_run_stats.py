@@ -1,7 +1,8 @@
 import itertools
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longrun import ResidualSeries, SignSequence, longest_runs, signs_from_residuals
@@ -28,6 +29,50 @@ def window_longest(bits, symbol):
         else:
             break  # a longer all-symbol window would contain one of length K
     return best
+
+
+def loop_signs(series, zero_policy):
+    """``signs_from_residuals`` as a Python loop over the residuals (reference)."""
+    bits, zeros = [], []
+    for i, (_, r) in enumerate(series.points):
+        if r == 0:
+            if zero_policy == "error":
+                raise ZeroResidual(f"residual at ordered index {i} is exactly zero")
+            zeros.append(i)
+        else:
+            bits.append(1 if r > 0 else 0)
+    if not bits:
+        raise EmptyAfterDrop("all residuals are zero")
+    return SignSequence(bits=tuple(bits), zero_positions=tuple(zeros))
+
+
+def loop_runs(bits):
+    """``longest_runs`` as a Python loop over the bits (reference)."""
+    l_plus = l_minus = run = 0
+    prev = None
+    for b in bits:
+        run = run + 1 if b == prev else 1
+        prev = b
+        if b:
+            l_plus = max(l_plus, run)
+        else:
+            l_minus = max(l_minus, run)
+    return l_plus, l_minus, max(l_plus, l_minus), sum(bits)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+residual_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 0, Fraction(0)]),
+    st.integers(-5, 5),
+    st.fractions(Fraction(-3), Fraction(3), max_denominator=7),
+)
 
 
 class TestResidualSeries:
@@ -119,3 +164,44 @@ class TestLongestRuns:
     @given(bit_lists, st.integers(0, 1))
     def test_append_monotone(self, bits, extra):
         assert longest_runs(bits + [extra]).l_n >= longest_runs(bits).l_n
+
+
+class TestAgainstLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 6), residual_values), min_size=1, max_size=40),
+        st.sampled_from(["error", "drop"]),
+    )
+    @example([(0, 0.0), (1, -0.0)], "drop")
+    @example([(1, -0.0), (0, 1)], "error")
+    def test_signs_and_runs(self, points, zero_policy):
+        x, res = zip(*points)
+        series = ResidualSeries.from_residuals(x, res)
+        got = outcome(signs_from_residuals, series, zero_policy)
+        assert got == outcome(loop_signs, series, zero_policy)
+        if isinstance(got, SignSequence):
+            assert all(type(b) is int for b in got.bits)
+            r = longest_runs(got)
+            assert (r.l_plus, r.l_minus, r.l_n, r.k) == loop_runs(got.bits)
+
+    @given(st.lists(st.sampled_from([0, 1, False, True, 0.0, 1.0]), min_size=1, max_size=64))
+    def test_runs_of_bit_like_values(self, bits):
+        r = longest_runs(bits)
+        assert (r.l_plus, r.l_minus, r.l_n, r.k) == loop_runs(bits)
+
+    @pytest.mark.parametrize(
+        "bits", [[2, 2, 0], [1, 2], [0, -1], [1, 256], [0.5, 1], ["1", "0"], [None]]
+    )
+    def test_non_binary_refused(self, bits):
+        # the loop read [2, 2, 0] as L+ = 2 and [1, 2] as two runs of ones
+        with pytest.raises(ValueError):
+            longest_runs(bits)
+
+    def test_numpy_scalars(self):
+        # a NumPy scalar's > returns numpy.bool, which bytes() alone refuses
+        np = pytest.importorskip("numpy")
+        series = ResidualSeries.from_residuals(np.arange(5.0), np.array([1.0, -2.0, 0.0, 0.5, 3.0]))
+        seq = signs_from_residuals(series, "drop")
+        assert (seq.bits, seq.zero_positions) == ((1, 0, 1, 1), (2,))
+        r = longest_runs(np.array([1.0, -1.0, 2.0, 4.0]) > 0)
+        assert (r.l_plus, r.l_minus, r.l_n, r.k) == (2, 1, 2, 3)
