@@ -3,7 +3,7 @@
 Under a constant shift the probability p that a residual is positive
 is the same for every observation but differs from 1/2.  The CDF of
 the longest run is then a binomial mixture of the bounded-run counts:
-Pr(L_n <= x) = sum_k snk(n, x)[k] * p^k * (1-p)^(n-k).
+Pr(L_n <= x) = sum_k snk(n, x).counts[k] * p^k * (1-p)^(n-k).
 
 ``mixture`` sums it by Horner's rule over the integers, acc = acc*q + c_k*a^k
 with q = b-a for p = a/b, divided by b^n once: exact for a rational p.  An
@@ -15,8 +15,8 @@ term is nonnegative: the relative error is at most about 2(n+1)*2^(1-W).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -29,17 +29,22 @@ TAIL_BITS = 1 << 16  # a Gaussian-shift 1 - p below ~2^-TAIL_BITS (c/sigma > ~30
 Prob = Fraction | mpmath.mpf
 
 
-@dataclass(frozen=True)
-class AlternativeSpec:
-    """Constant-shift alternative, parameterized by p = Pr(residual > 0)."""
-
+class _AlternativeFields(NamedTuple):
     p: Prob
     origin: str = "direct"
     shift: float | None = None
     sigma: float | None = None
 
-    def __post_init__(self):
-        as_prob(self.p)  # raises unless 0 < p < 1
+
+class AlternativeSpec(_AlternativeFields):
+    """Constant-shift alternative, parameterized by p = Pr(residual > 0)."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
+
+    def __new__(cls, p, origin="direct", shift=None, sigma=None):
+        as_prob(p)  # raises unless 0 < p < 1
+        return super().__new__(cls, p, origin, shift, sigma)
 
     @classmethod
     def direct(cls, p: Fraction | float | str) -> "AlternativeSpec":
@@ -56,8 +61,7 @@ class AlternativeSpec:
         )
 
 
-@dataclass(frozen=True)
-class PowerResult:
+class PowerResult(NamedTuple):
     n: int
     alpha: Fraction
     tail: str

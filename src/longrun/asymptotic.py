@@ -8,8 +8,8 @@ each other along an n-grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -37,8 +37,7 @@ def plus_run_cdf(n: int, k: int, p: Prob | float | str) -> Prob:
     return mixture(plus_run_counts(n, k).counts, as_prob(p))
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     k: int
     p: Fraction | mpmath.mpf
     entries: tuple[tuple[int, mpmath.mpf], ...]  # (n, |two-sided - one-sided|)

@@ -7,8 +7,8 @@ full scan at n = 20 stays within seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .conditional_counts import engine_cache
 from .errors import CapExceeded
@@ -25,8 +25,7 @@ def _longest_one_run(v: int) -> int:
     return length
 
 
-@dataclass(frozen=True)
-class JointCountTable:
+class JointCountTable(NamedTuple):
     """Counts of sequences by (number of ones, longest run)."""
 
     n: int

@@ -17,11 +17,11 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
+from typing import NamedTuple
 
 # power, converge and oracle import their engines and mpmath when they run,
 # so a cold ``longrun test`` loads only what it uses
@@ -34,6 +34,7 @@ from .errors import (
     MissingColumns,
     NonFiniteValue,
     ParseError,
+    UnreadableInput,
     ZeroResidual,
 )
 from .exact_null import critical_value, null_table_by_counting, p_value, rejection_region
@@ -66,8 +67,7 @@ def prob_fields(value, precision: int) -> dict:
     return {"fraction": None, "decimal": mpmath.nstr(value, precision)}
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(NamedTuple):
     n_effective: int
     dropped_zeros: int
     statistic: RunSummary
@@ -86,12 +86,7 @@ class TestReport:
             "schema": SCHEMA_VERSION,
             "n_effective": self.n_effective,
             "dropped_zeros": self.dropped_zeros,
-            "statistic": {
-                "l_plus": self.statistic.l_plus,
-                "l_minus": self.statistic.l_minus,
-                "l_n": self.statistic.l_n,
-                "k": self.statistic.k,
-            },
+            "statistic": self.statistic._asdict(),
             "p_value": prob_fields(self.p_value, precision),
             "alpha": prob_fields(self.alpha, precision),
             "tail": self.tail,
@@ -110,7 +105,8 @@ def ingest(source) -> tuple[ResidualSeries, int]:
     plus 0 dropped rows (zero dropping happens at sign time).  Blank and
     whitespace-only rows are dropped, then each column is parsed and checked
     finite in one C-level pass; only if that fails does a row loop run, to
-    raise at the first bad row's line (before any read error past that row).
+    raise at the first bad row's line.  Text that cannot be decoded or split
+    into fields raises :class:`UnreadableInput`, after any bad row before it.
     """
     named = isinstance(source, (str, bytes))
     with open(source, newline="", encoding="utf-8") if named else nullcontext(source) as fh:
@@ -119,6 +115,8 @@ def ingest(source) -> tuple[ResidualSeries, int]:
             header = next(reader)
         except StopIteration:
             raise MissingColumns("empty input")
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise UnreadableInput(reader.line_num, exc) from exc
         if header:  # the byte-order mark of a "CSV UTF-8" file, as Excel writes it
             header[0] = header[0].removeprefix("\ufeff")
         cols = [h.strip().lower() for h in header]
@@ -134,8 +132,9 @@ def ingest(source) -> tuple[ResidualSeries, int]:
         rows, err = [], None
         try:
             rows.extend(reader)
-        except Exception as exc:  # raised once the rows read before it are checked
-            err = exc
+        except (UnicodeDecodeError, csv.Error) as exc:  # raised once the rows before it pass
+            err = UnreadableInput(reader.line_num, exc)
+            err.__cause__ = exc
         kept = list(compress(rows, map(str.strip, map("".join, rows))))
         try:
             columns = [list(map(float, map(itemgetter(i), kept))) for i in idx]

@@ -1,6 +1,6 @@
 """Counts of sign sequences with bounded run length, split by number of ones.
 
-``snk(n, x)[k]`` is the number of length-``n`` binary sequences with
+``snk(n, x).counts[k]`` is the number of length-``n`` binary sequences with
 ``k`` ones in which no run of either symbol is longer than ``x``.  The
 run-state kernel ``bounded_runs`` computes it (and the one-sided bounds);
 the published four-case recursion, reconciled against the kernel, lives
@@ -12,24 +12,20 @@ specialisation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 CACHE_SIZE = 32  #: entries per cached engine; a power study at four n uses 20 count tables
 engine_cache = lru_cache(maxsize=CACHE_SIZE)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Counts by number of ones for one (n, x) pair."""
 
     n: int
     x: int
     counts: tuple[int, ...]  # index k = 0..n
     engine: str
-
-    def __getitem__(self, k: int) -> int:
-        return self.counts[k]
 
     @property
     def total(self) -> int:

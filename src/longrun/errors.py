@@ -48,3 +48,11 @@ class NonFiniteValue(IngestError):
         self.line = line
         self.column = column
         super().__init__(f"line {line}: non-finite value in column '{column}'")
+
+
+class UnreadableInput(IngestError):
+    """The CSV text could not be decoded or split into fields after ``line`` lines read."""
+
+    def __init__(self, line: int, cause: Exception):
+        self.line = line
+        super().__init__(f"unreadable text (lines read: {line}): {cause}")

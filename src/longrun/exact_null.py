@@ -10,9 +10,8 @@ published null recursion, a cross-check of this engine, lives in
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .conditional_counts import _compositions, _first_compositions, engine_cache
 from .errors import ObservedOutOfRange
@@ -21,22 +20,20 @@ CONVENTIONS = ("paper", "conservative")
 TAILS = ("unilateral", "bilateral")
 
 
-@dataclass(frozen=True)
-class ProbabilityTable:
+class ProbabilityTable(NamedTuple):
     """Exact pmf/cdf of the longest-run statistic for one n, as counts over 2^n."""
 
     n: int
     below: tuple[int, ...]  # below[x] = number of length-n sign strings with L_n <= x, x = 0..n
 
-    @cached_property
-    def pmf(self) -> tuple[Fraction, ...]:  # index k = 1..n stored at [k-1]
-        below, denom = self.below, 2**self.n
-        return tuple(Fraction(below[k] - below[k - 1], denom) for k in range(1, self.n + 1))
+    @property
+    def pmf(self) -> tuple[Fraction, ...]:  # index k = 1..n stored at [k-1]; built on each read
+        return tuple(map(self.p, range(1, self.n + 1)))
 
     def p(self, k: int) -> Fraction:
         """Pr(L_n = k); zero outside 1..n."""
         if 1 <= k <= self.n:
-            return self.pmf[k - 1]
+            return Fraction(self.below[k] - self.below[k - 1], 2**self.n)
         return Fraction(0)
 
     def cdf(self, k: int) -> Fraction:
@@ -48,11 +45,10 @@ class ProbabilityTable:
         return Fraction(2**self.n - self.below[min(max(k, 0), self.n)], 2**self.n)
 
     def as_dict(self) -> dict[int, Fraction]:
-        return {k: self.pmf[k - 1] for k in range(1, self.n + 1)}
+        return dict(enumerate(self.pmf, 1))
 
 
-@dataclass(frozen=True)
-class CriticalValueResult:
+class CriticalValueResult(NamedTuple):
     n: int
     alpha: Fraction
     c: int
@@ -100,8 +96,7 @@ def critical_value(
     )
 
 
-@dataclass(frozen=True)
-class RejectionRegion:
+class RejectionRegion(NamedTuple):
     """Rejection region {L_n < lower.c} or {L_n > upper.c} of one test configuration."""
 
     lower: CriticalValueResult | None  # None for the unilateral test

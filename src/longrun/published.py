@@ -12,17 +12,15 @@ exactly.  Nothing on the ``longrun test`` path imports this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .conditional_counts import CountTable, _validate, engine_cache, snk_dp
 from .exact_null import ProbabilityTable, null_table_by_counting
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """One documented correction to a published formula."""
 
     location: str
@@ -31,8 +29,7 @@ class Resolution:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     """Corrections applied by a published-formula engine plus residual mismatches."""
 
     engine: str

@@ -9,31 +9,35 @@ finds zeros, -0.0 too), and L+ and L- its longest pieces split at 0 and 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count, repeat, starmap
 from operator import eq, gt, itemgetter, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyAfterDrop, EmptySequence, ZeroResidual
 
 ZERO_POLICIES = ("error", "drop")
 
 
-@dataclass(frozen=True)
-class ResidualSeries:
+class _ResidualFields(NamedTuple):
+    points: tuple[tuple[float, float], ...]
+    source: str = "precomputed"
+
+
+class ResidualSeries(_ResidualFields):
     """Covariate-ordered residuals.
 
     ``points`` is sorted ascending by covariate; ties keep input order.
     ``source`` records whether residuals came in raw (y, fitted) form
-    or precomputed.
+    or precomputed.  An empty series raises :class:`EmptySequence`.
     """
 
-    points: tuple[tuple[float, float], ...]
-    source: str = "precomputed"
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __post_init__(self):
-        if len(self.points) < 1:
+    def __new__(cls, points, source="precomputed"):
+        if len(points) < 1:
             raise EmptySequence("residual series is empty")
+        return super().__new__(cls, points, source)
 
     @property
     def n(self) -> int:
@@ -56,8 +60,7 @@ class ResidualSeries:
         return cls(points=tuple(pts), source="raw")
 
 
-@dataclass(frozen=True)
-class SignSequence:
+class SignSequence(NamedTuple):
     """Binary sequence of residual signs (1 = positive residual)."""
 
     bits: tuple[int, ...]
@@ -68,8 +71,7 @@ class SignSequence:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(NamedTuple):
     """Longest-run lengths of a sign sequence."""
 
     l_plus: int

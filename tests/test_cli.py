@@ -25,7 +25,7 @@ from longrun.cli import (
     main,
     run_test,
 )
-from longrun.errors import MissingColumns, NonFiniteValue, ParseError
+from longrun.errors import MissingColumns, NonFiniteValue, ParseError, UnreadableInput
 
 F = Fraction
 
@@ -36,17 +36,21 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_module(*args, stdin=b""):
+def run_module(*args, stdin=b"", env=None):
     """``python <args>`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *args], input=stdin, capture_output=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
 
 
 BOM_CSV = "\ufeffx,residual\n0,0.5\n1,-1.5\n2,0.5\n3,0.5\n"
+UNREADABLE_CSVS = {
+    "undecodable": b"x,residual\n0,0.5\n1,\xff\n",
+    "oversized": b'x,residual\n0,0.5\n1,"' + b"9" * 200_000 + b'"\n',  # past csv's field limit
+}
 
 
 def row_loop_ingest(source):
@@ -58,6 +62,8 @@ def row_loop_ingest(source):
             header = next(reader)
         except StopIteration:
             raise MissingColumns("empty input")
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise UnreadableInput(reader.line_num, exc) from exc
         if header:
             header[0] = header[0].removeprefix("\ufeff")
         cols = [h.strip().lower() for h in header]
@@ -71,17 +77,20 @@ def row_loop_ingest(source):
             )
         idx = [cols.index(name) for name in names]
         data = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                vals = [float(row[i]) for i in idx]
-            except (ValueError, IndexError) as exc:
-                raise ParseError(lineno, f"cannot parse row {row!r}: {exc}")
-            for v, i in zip(vals, idx):
-                if not math.isfinite(v):
-                    raise NonFiniteValue(lineno, cols[i])
-            data.append(vals)
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                try:
+                    vals = [float(row[i]) for i in idx]
+                except (ValueError, IndexError) as exc:
+                    raise ParseError(lineno, f"cannot parse row {row!r}: {exc}")
+                for v, i in zip(vals, idx):
+                    if not math.isfinite(v):
+                        raise NonFiniteValue(lineno, cols[i])
+                data.append(vals)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise UnreadableInput(reader.line_num, exc) from exc
     if not data:
         raise MissingColumns("no data rows")
     return build(*zip(*data)), 0
@@ -191,7 +200,13 @@ class TestIngest:
         path.write_bytes(b"x,residual\n" + head + b"3,0.25\n" * 3000 + tail)
         got = ingest_outcome(ingest, lambda: str(path))
         assert got == ingest_outcome(row_loop_ingest, lambda: str(path))
-        assert got[:2] == (error or read_error, line)
+        if error:
+            assert got[:2] == (error, line)
+            return
+        with pytest.raises(UnreadableInput) as exc:
+            ingest(str(path))
+        assert isinstance(exc.value.__cause__, read_error)
+        assert 0 < exc.value.line <= 3002  # the lines read before the text failed
 
 
 class TestRunTest:
@@ -357,6 +372,23 @@ class TestCommands:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["statistic"]["l_n"] == 2
 
+    @pytest.mark.parametrize("name", UNREADABLE_CSVS)
+    def test_unreadable_file_is_input_error(self, name, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_bytes(UNREADABLE_CSVS[name])
+        code, out, err = run_cli(capsys, "test", "-i", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("longrun: input error: unreadable text (lines read: ")
+
+    # stdin decodes strictly under a UTF-8 locale, with surrogateescape under C/POSIX
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    @pytest.mark.parametrize("name", UNREADABLE_CSVS)
+    def test_unreadable_stdin_is_input_error(self, name, errors):
+        proc = run_module("-m", "longrun.cli", "test", "-i", "-", stdin=UNREADABLE_CSVS[name],
+                          env={"PYTHONIOENCODING": f"utf-8:{errors}"})
+        assert (proc.returncode, proc.stdout) == (EXIT_INPUT, b""), proc.stderr
+        assert proc.stderr.startswith(b"longrun: input error: ")
+
     def test_cold_test_does_not_import_mpmath(self, small_csv):
         # the body of the installed ``longrun`` script, so that longrun.cli is imported
         script = "import sys; from longrun.cli import main; sys.exit(main())"
@@ -365,6 +397,7 @@ class TestCommands:
         imported = {line.rsplit(b"|", 1)[-1].strip() for line in proc.stderr.splitlines()}
         assert b"longrun.exact_null" in imported
         assert b"mpmath" not in imported
+        assert b"dataclasses" not in imported and b"inspect" not in imported
         assert {m for m in imported if m.split(b".")[0] == b"longrun"} == {
             b"longrun",
             b"longrun.cli",
