@@ -210,8 +210,14 @@ _RENDER = {"json": _emit_json, "csv": _emit_csv, "text": str}
 
 
 def _cmd_test(args) -> dict:
-    source = sys.stdin if args.input == "-" else args.input
-    series, _ = ingest(source)
+    if args.input != "-":
+        series, _ = ingest(args.input)
+    else:  # decoded as a path is: strict UTF-8, with csv's newline=""
+        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="")
+        try:
+            series, _ = ingest(stdin)
+        finally:
+            stdin.detach()  # sys.stdin stays open
     report = run_test(series, args.alpha, args.tail, args.convention, args.zero_policy)
     d = report.to_dict(args.precision)
     lines = [

@@ -88,9 +88,11 @@ def critical_value(
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     table = null_table_by_counting(n)
-    cut = (1 - alpha) * 2**n  # Pr(L_n > c) >= alpha exactly when below[c] <= cut
-    below = table.below
-    c = bisect_right(below, cut) - 1 if convention == "paper" else bisect_left(below, cut)
+    # (1 - alpha) 2^n = top/den; below[c] is an integer, and Pr(L_n > c) >= alpha exactly
+    # when below[c] <= floor(top/den), Pr(L_n > c) <= alpha when below[c] >= ceil(top/den)
+    top, den, below = (alpha.denominator - alpha.numerator) << n, alpha.denominator, table.below
+    paper = convention == "paper"
+    c = bisect_right(below, top // den) - 1 if paper else bisect_left(below, -(-top // den))
     return CriticalValueResult(
         n=n, alpha=alpha, c=c, attained_level=table.sf(c), convention=convention
     )
@@ -130,7 +132,8 @@ def rejection_region(
         return RejectionRegion(lower=None, upper=upper, size=upper.attained_level)
     lower = critical_value(n, 1 - alpha / 2, convention)
     upper = critical_value(n, alpha / 2, convention)
-    size = null_table_by_counting(n).cdf(lower.c - 1) + upper.attained_level
+    below = null_table_by_counting(n).below  # Pr(L_n < c_lower) + Pr(L_n > c_upper), one Fraction
+    size = Fraction(below[max(lower.c - 1, 0)] + (1 << n) - below[upper.c], 1 << n)
     return RejectionRegion(lower=lower, upper=upper, size=size)
 
 

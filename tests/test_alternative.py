@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -17,6 +18,7 @@ from longrun import (
     power,
 )
 from longrun.alternative import mixture
+from longrun.conditional_counts import snk_dp
 from longrun.exact_null import rejection_region
 
 F = Fraction
@@ -230,6 +232,68 @@ class TestMixture:
         got = power(60, F(1, 20), "unilateral", "paper", spec).power
         with mpmath.workdps(60):
             assert 0 <= 1 - got <= mpmath.mpf("1e-50")
+
+
+class TestRatioHorner:
+    """The mpf mixture, q^n sum_k c_k r^k with r = p/(1-p), against the exact sum."""
+
+    @pytest.mark.parametrize("tail", TAILS)
+    @pytest.mark.parametrize("shift", [0.02, 0.3, 0.8, 3, 16, -2])
+    @pytest.mark.parametrize("n", [1, 60, 250, 1000])
+    def test_mpf_power_within_50_digits_of_exact(self, n, shift, tail):
+        spec = AlternativeSpec.gaussian_shift(shift, 1.0)
+        got = power(n, F(1, 20), tail, "paper", spec).power
+        want = power(n, F(1, 20), tail, "paper", AlternativeSpec(p=dyadic(spec.p))).power
+        assert isinstance(got, mpmath.mpf)
+        assert abs(dyadic(got) - want) <= want * F(1, 10**50)
+
+    def test_one_count(self):
+        for c in (1, 7, 2**300 + 1):
+            assert mixture((c,), F(3, 10)) == c
+            with mpmath.workdps(50):
+                got = mixture([c], mpmath.mpf("0.3"))
+            assert isinstance(got, mpmath.mpf) and got == c
+
+    def test_all_zero_counts(self):
+        for n in (0, 1, 40):
+            assert mixture([0] * (n + 1), F(2, 3)) == 0
+            got = mixture((0,) * (n + 1), mpmath.mpf(2) / 3)
+            assert isinstance(got, mpmath.mpf) and got == 0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_p_within_2_to_minus_200_of_half(self, sign):
+        with mpmath.workprec(260):
+            p = mpmath.mpf(0.5) + sign * mpmath.ldexp(1, -200)
+        assert dyadic(p) == F(1, 2) + sign * F(1, 2**200)
+        rng = random.Random(200)
+        for n in (1, 60, 250):
+            for counts in ([comb(n, k) for k in range(n + 1)],  # sums to exactly 1
+                           [rng.getrandbits(n) for _ in range(n + 1)],
+                           snk_dp(n, 4).counts):
+                got, want = mixture(counts, p), mixture(counts, dyadic(p))
+                assert abs(dyadic(got) - want) <= want * F(1, 10**50)
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_fraction_power_is_the_rejected_binomial_sum(self, tail, convention):
+        def snk(n, x):
+            return snk_dp(n, x).counts if x >= 1 else (0,) * (n + 1)
+
+        for n in (1, 2, 3, 7, 16, 61, 128, 251, 300):
+            for p in (F(7, 10), F(1, 3), F(37, 80)):
+                for alpha in (F(1, 20), F(1, 3)):
+                    region = rejection_region(n, alpha, tail, convention)
+                    c_low = region.lower.c - 1 if region.lower else 0
+                    a, b = p.numerator, p.denominator
+                    rejected = (
+                        comb(n, k) - snk(n, region.upper.c)[k] + snk(n, c_low)[k]
+                        for k in range(n + 1)
+                    )
+                    want = F(sum(r * a**k * (b - a) ** (n - k) for k, r in enumerate(rejected)),
+                             b**n)
+                    got = power(n, alpha, tail, convention, AlternativeSpec(p=p))
+                    assert type(got.power) is Fraction and got.power == want
+                    assert got.critical_region == str(region)
 
 
 class TestOnePassPower:

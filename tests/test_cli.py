@@ -47,6 +47,13 @@ def run_module(*args, stdin=b"", env=None):
 
 
 BOM_CSV = "\ufeffx,residual\n0,0.5\n1,-1.5\n2,0.5\n3,0.5\n"
+# the same bytes must give the same exit code from a path and from stdin
+PATH_OR_STDIN_CSVS = {
+    "latin1_byte": (b"x,residual,note\n0,0.5,caf\xe9\n1,-0.5,ok\n", EXIT_INPUT),
+    "CR_line_ends": (b"x,residual\r0,0.5\r1,-0.5\r", EXIT_OK),
+    "CRLF_line_ends": (b"x,residual\r\n0,0.5\r\n1,-0.5\r\n", EXIT_OK),
+    "BOM": (BOM_CSV.encode("utf-8"), EXIT_OK),
+}
 UNREADABLE_CSVS = {
     "undecodable": b"x,residual\n0,0.5\n1,\xff\n",
     "oversized": b'x,residual\n0,0.5\n1,"' + b"9" * 200_000 + b'"\n',  # past csv's field limit
@@ -388,6 +395,20 @@ class TestCommands:
                           env={"PYTHONIOENCODING": f"utf-8:{errors}"})
         assert (proc.returncode, proc.stdout) == (EXIT_INPUT, b""), proc.stderr
         assert proc.stderr.startswith(b"longrun: input error: ")
+
+    @pytest.mark.parametrize(
+        "env", [{"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8:surrogateescape"},
+                {"PYTHONIOENCODING": "latin-1"}], ids=["C_locale", "surrogateescape", "latin1"]
+    )
+    @pytest.mark.parametrize("name", PATH_OR_STDIN_CSVS)
+    def test_stdin_reads_as_a_path_does(self, name, env, tmp_path, capsys):
+        data, want = PATH_OR_STDIN_CSVS[name]
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+        code, out, _ = run_cli(capsys, "test", "-i", str(path))
+        proc = run_module("-m", "longrun.cli", "test", "-i", "-", stdin=data, env=env)
+        assert code == proc.returncode == want, proc.stderr
+        assert proc.stdout.decode("utf-8") == out
 
     def test_cold_test_does_not_import_mpmath(self, small_csv):
         # the body of the installed ``longrun`` script, so that longrun.cli is imported

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longrun import (
+    alternative,
     asymptotic,
     brute_oracle,
     compositions_bounded,
@@ -221,6 +222,7 @@ def test_engine_caches_are_bounded():
         published._prop1_rows,
         asymptotic.plus_run_counts,
         brute_oracle.enumerate_joint,
+        alternative.rejected_counts,
     )
     for fn in cached:
         assert fn.cache_info().maxsize == conditional_counts.CACHE_SIZE

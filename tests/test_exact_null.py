@@ -157,6 +157,24 @@ class TestCriticalValue:
         assert critical_value(n, alpha, "paper").c == paper
         assert critical_value(n, alpha, "conservative").c == conservative
 
+    @pytest.mark.parametrize(
+        "alpha", [F(1, 20), F(1, 3), F(1, 10**40), 1 - F(1, 10**40), F(1, 2**200)],
+        ids=["0.05", "1_over_3", "1e-40", "1-1e-40", "2^-200"],
+    )
+    def test_integer_cut_matches_fraction_definition(self, alpha):
+        for n in range(1, 301):
+            table = null_table_by_counting(n)
+            sf = [table.sf(c) for c in range(n + 1)]
+            want = {
+                "paper": max(c for c in range(n + 1) if sf[c] >= alpha),
+                "conservative": min(c for c in range(n + 1) if sf[c] <= alpha),
+            }
+            for convention, c in want.items():
+                got = critical_value(n, alpha, convention)
+                assert (got.c, got.attained_level) == (c, sf[c])
+                region = rejection_region(n, alpha, "bilateral", convention)
+                assert region.size == table.cdf(region.lower.c - 1) + sf[region.upper.c]
+
 
 class TestPValue:
     def test_examples(self):
