@@ -17,9 +17,9 @@ _EXPORTS = {
     "asymptotic": ("ConvergenceReport", "convergence_report", "plus_run_cdf",
                    "plus_run_counts"),
     "brute_oracle": ("JointCountTable", "enumerate_joint", "oracle_null_pmf", "oracle_snk"),
-    "conditional_counts": ("CountTable", "compositions_bounded", "snk_dp"),
-    "exact_null": ("CriticalValueResult", "ProbabilityTable", "critical_value",
-                   "null_table_by_counting", "p_value"),
+    "conditional_counts": ("CountTable", "snk_dp"),
+    "exact_null": ("CriticalValueResult", "ProbabilityTable", "compositions_bounded",
+                   "critical_value", "null_table_by_counting", "p_value"),
     "published": ("DiscrepancyReport", "Resolution", "null_table_riordan", "snk_proposition1"),
     "run_stats": ("ResidualSeries", "RunSummary", "SignSequence", "longest_runs",
                   "signs_from_residuals"),

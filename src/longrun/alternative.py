@@ -24,8 +24,8 @@ from typing import NamedTuple
 import mpmath
 from mpmath.libmp import dps_to_prec, from_man_exp, mpf_pow_int, round_down
 
-from .conditional_counts import engine_cache, snk_dp
-from .exact_null import rejection_region
+from .conditional_counts import snk_dp
+from .exact_null import engine_cache, rejection_region
 
 INTERNAL_DPS = 50
 TAIL_BITS = 1 << 16  # a Gaussian-shift 1 - p below ~2^-TAIL_BITS (c/sigma > ~301) rounds p to 1

@@ -14,7 +14,8 @@ from typing import NamedTuple
 import mpmath
 
 from .alternative import INTERNAL_DPS, Prob, as_prob, counts_at_most, mixture
-from .conditional_counts import CountTable, counts_by_ones, engine_cache
+from .conditional_counts import CountTable, counts_by_ones
+from .exact_null import engine_cache
 
 
 @engine_cache

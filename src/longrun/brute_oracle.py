@@ -10,9 +10,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .conditional_counts import engine_cache
 from .errors import CapExceeded
-from .exact_null import ProbabilityTable
+from .exact_null import ProbabilityTable, engine_cache
 
 ENUMERATION_CAP = 24
 

@@ -19,14 +19,13 @@ import sys
 from contextlib import nullcontext
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 from typing import NamedTuple
 
-# power, converge and oracle import their engines and mpmath when they run,
-# so a cold ``longrun test`` loads only what it uses
+# power, snk, converge and oracle import their engines (and mpmath) when they
+# run, so a cold ``longrun test`` loads only what it uses
 from . import __version__
-from .conditional_counts import snk_dp
 from .errors import (
     EmptyAfterDrop,
     IngestError,
@@ -46,6 +45,8 @@ EXIT_OK = 0
 EXIT_REJECT = 1  # only with --fail-on-reject
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
+# how ``longrun test`` decodes a path and stdin: ``ingest`` finds a byte that is not UTF-8
+TEXT = {"encoding": "utf-8", "errors": "surrogateescape", "newline": ""}
 
 
 def fraction_decimal(value: Fraction, precision: int) -> str:
@@ -81,21 +82,12 @@ class TestReport(NamedTuple):
     config: dict
 
     def to_dict(self, precision: int) -> dict:
-        crit = {name: cv.c for name, cv in self.critical_values.items()}
-        return {
-            "schema": SCHEMA_VERSION,
-            "n_effective": self.n_effective,
-            "dropped_zeros": self.dropped_zeros,
-            "statistic": self.statistic._asdict(),
-            "p_value": prob_fields(self.p_value, precision),
-            "alpha": prob_fields(self.alpha, precision),
-            "tail": self.tail,
-            "convention": self.convention,
-            "critical_values": crit,
-            "attained_level": prob_fields(self.attained_level, precision),
-            "decision": self.decision,
-            "config": self.config,
-        }
+        d = self._asdict()
+        for name in ("p_value", "alpha", "attained_level"):
+            d[name] = prob_fields(d[name], precision)
+        d.update(schema=SCHEMA_VERSION, statistic=self.statistic._asdict(),
+                 critical_values={name: cv.c for name, cv in self.critical_values.items()})
+        return d
 
 
 def ingest(source) -> tuple[ResidualSeries, int]:
@@ -107,9 +99,12 @@ def ingest(source) -> tuple[ResidualSeries, int]:
     finite in one C-level pass; only if that fails does a row loop run, to
     raise at the first bad row's line.  Text that cannot be decoded or split
     into fields raises :class:`UnreadableInput`, after any bad row before it.
+    A path is decoded as ``TEXT``; from such a stream, text that is not all
+    ASCII also runs the row loop, to find a byte that is not UTF-8.
     """
     named = isinstance(source, (str, bytes))
-    with open(source, newline="", encoding="utf-8") if named else nullcontext(source) as fh:
+    with open(source, **TEXT) if named else nullcontext(source) as fh:
+        escaped = getattr(fh, "errors", None) == "surrogateescape"
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -117,6 +112,8 @@ def ingest(source) -> tuple[ResidualSeries, int]:
             raise MissingColumns("empty input")
         except (UnicodeDecodeError, csv.Error) as exc:
             raise UnreadableInput(reader.line_num, exc) from exc
+        if escaped:
+            _check_decodable(header, 1)
         if header:  # the byte-order mark of a "CSV UTF-8" file, as Excel writes it
             header[0] = header[0].removeprefix("\ufeff")
         cols = [h.strip().lower() for h in header]
@@ -141,8 +138,11 @@ def ingest(source) -> tuple[ResidualSeries, int]:
             bad = not all(all(map(math.isfinite, c)) for c in columns)
         except (ValueError, IndexError):
             bad = True
-        if bad:  # the row loop, only to raise at the first bad row's line
+        if bad or escaped and not all(map(str.isascii, chain.from_iterable(rows))):
+            # the row loop, only to raise at the first bad row's line
             for lineno, row in compress(enumerate(rows, 2), map(str.strip, map("".join, rows))):
+                if escaped:
+                    _check_decodable(row, lineno)
                 try:
                     vals = [float(row[i]) for i in idx]
                 except (ValueError, IndexError) as exc:
@@ -154,6 +154,14 @@ def ingest(source) -> tuple[ResidualSeries, int]:
         raise err or MissingColumns("no data rows")
     del rows, kept  # before build, to cap the peak memory of a large file
     return build(*columns), 0
+
+
+def _check_decodable(row: list[str], line: int) -> None:
+    """Raise :class:`UnreadableInput` if the row on ``line`` holds a byte that is not UTF-8."""
+    try:
+        ",".join(row).encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(line - 1, f"line {line}: {exc}") from exc
 
 
 def run_test(
@@ -212,8 +220,8 @@ _RENDER = {"json": _emit_json, "csv": _emit_csv, "text": str}
 def _cmd_test(args) -> dict:
     if args.input != "-":
         series, _ = ingest(args.input)
-    else:  # decoded as a path is: strict UTF-8, with csv's newline=""
-        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="")
+    else:  # decoded as a path is
+        stdin = io.TextIOWrapper(sys.stdin.buffer, **TEXT)
         try:
             series, _ = ingest(stdin)
         finally:
@@ -313,6 +321,8 @@ def _cmd_power(args) -> dict:
 
 
 def _cmd_snk(args) -> dict:
+    from .conditional_counts import snk_dp
+
     table = snk_dp(args.n, args.x)
     rows = [{"k": k, "count": table.counts[k]} for k in range(args.n + 1)]
     return {
@@ -364,13 +374,21 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_CONFIG)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="longrun", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+COMMANDS = ("test", "table", "critical", "power", "snk", "converge", "oracle")
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``longrun`` parser, or subcommand ``only``'s alone: the same as its subparser."""
+    parser = _Parser(prog=f"longrun {only}") if only else \
+        _Parser(prog="longrun", description=__doc__)
+    if only is None:
+        parser.add_argument("--version", action="version", version=__version__)
+        sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, formats, help, decimals=True):
-        p = sub.add_parser(name, help=help)
+        if only not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help) if only is None else parser
         p.add_argument(
             "--format", choices=formats, default="json",
             help="output format (default json)",
@@ -380,63 +398,71 @@ def build_parser() -> argparse.ArgumentParser:
                 "--precision", type=int, default=6,
                 help="significant digits for decimal rendering (default 6)",
             )
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, command=name)
         return p
 
     with_text, with_csv = ("json", "text"), ("json", "csv")
 
-    p = command("test", _cmd_test, with_text, "run the lack-of-fit test on a CSV")
-    p.add_argument("--input", "-i", required=True, help="CSV path, or - for stdin")
-    p.add_argument("--alpha", type=Fraction, default=Fraction(1, 20))
-    p.add_argument("--tail", choices=("unilateral", "bilateral"), default="unilateral")
-    p.add_argument("--convention", choices=("paper", "conservative"), default="paper")
-    p.add_argument(
-        "--zero-policy", choices=("error", "drop"), default="error",
-        help="what to do with exactly-zero residuals (default error)",
-    )
-    p.add_argument(
-        "--fail-on-reject", action="store_true",
-        help="exit with code 1 when the test rejects",
-    )
+    if p := command("test", _cmd_test, with_text, "run the lack-of-fit test on a CSV"):
+        p.add_argument("--input", "-i", required=True, help="CSV path, or - for stdin")
+        p.add_argument("--alpha", type=Fraction, default=Fraction(1, 20))
+        p.add_argument("--tail", choices=("unilateral", "bilateral"), default="unilateral")
+        p.add_argument("--convention", choices=("paper", "conservative"), default="paper")
+        p.add_argument(
+            "--zero-policy", choices=("error", "drop"), default="error",
+            help="what to do with exactly-zero residuals (default error)",
+        )
+        p.add_argument(
+            "--fail-on-reject", action="store_true",
+            help="exit with code 1 when the test rejects",
+        )
 
-    p = command("table", _cmd_table, ("json", "csv", "text"), "null pmf/cdf table")
-    p.add_argument("--n", type=int, required=True)
+    if p := command("table", _cmd_table, ("json", "csv", "text"), "null pmf/cdf table"):
+        p.add_argument("--n", type=int, required=True)
 
-    p = command("critical", _cmd_critical, with_text, "critical value at a level")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=Fraction, required=True)
-    p.add_argument("--conservative", action="store_true")
+    if p := command("critical", _cmd_critical, with_text, "critical value at a level"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--alpha", type=Fraction, required=True)
+        p.add_argument("--conservative", action="store_true")
 
-    p = command("power", _cmd_power, with_text, "exact power under a shift alternative")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=Fraction, required=True)
-    alt = p.add_mutually_exclusive_group(required=True)
-    alt.add_argument("--p", type=str, help="Pr(residual > 0) directly")
-    alt.add_argument("--shift", type=float, help="constant shift c, with --sigma")
-    p.add_argument("--sigma", type=float, help="Gaussian error scale, with --shift only")
-    p.add_argument("--tail", choices=("unilateral", "bilateral"), default="unilateral")
-    p.add_argument("--conservative", action="store_true")
+    if p := command("power", _cmd_power, with_text, "exact power under a shift alternative"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--alpha", type=Fraction, required=True)
+        alt = p.add_mutually_exclusive_group(required=True)
+        alt.add_argument("--p", type=str, help="Pr(residual > 0) directly")
+        alt.add_argument("--shift", type=float, help="constant shift c, with --sigma")
+        p.add_argument("--sigma", type=float, help="Gaussian error scale, with --shift only")
+        p.add_argument("--tail", choices=("unilateral", "bilateral"), default="unilateral")
+        p.add_argument("--conservative", action="store_true")
 
-    p = command("snk", _cmd_snk, with_csv, "bounded-run counts by number of ones", False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
+    if p := command("snk", _cmd_snk, with_csv, "bounded-run counts by number of ones", False):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--x", type=int, required=True)
 
-    p = command("converge", _cmd_converge, with_csv, "two-sided vs one-sided CDF gap")
-    p.add_argument("--p", type=str, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-grid", type=str, required=True, help="comma-separated n values")
+    if p := command("converge", _cmd_converge, with_csv, "two-sided vs one-sided CDF gap"):
+        p.add_argument("--p", type=str, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--n-grid", type=str, required=True, help="comma-separated n values")
 
-    p = command("oracle", _cmd_oracle, with_csv, "brute-force joint count dump", False)
-    p.add_argument("--n", type=int, required=True)
+    if p := command("oracle", _cmd_oracle, with_csv, "brute-force joint count dump", False):
+        p.add_argument("--n", type=int, required=True)
 
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building one parser if ``argv`` names a subcommand."""
+    if argv and argv[0] in COMMANDS:
+        args, unknown = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not unknown:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     if args.command == "power" and (args.shift is None) != (args.sigma is None):
-        parser.error("--shift and --sigma go together")
+        build_parser().error("--shift and --sigma go together")
     # Exact integers pass Python's int/str digit limit (3.11+ and backports) at
     # about n = 14,300, sooner for a long --p.  Lift it for the command only:
     # the flags argparse converts (--alpha, --n, ...) were read under it.
@@ -446,10 +472,7 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(0)
         outputs = args.func(args)
         sys.stdout.write(_RENDER[args.format](outputs[args.format]))
-    except (IngestError, ZeroResidual, EmptyAfterDrop) as exc:
-        sys.stderr.write(f"longrun: input error: {exc}\n")
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (IngestError, ZeroResidual, EmptyAfterDrop, FileNotFoundError) as exc:
         sys.stderr.write(f"longrun: input error: {exc}\n")
         return EXIT_INPUT
     except (LongrunError, ValueError) as exc:

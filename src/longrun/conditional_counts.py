@@ -5,18 +5,16 @@
 run-state kernel ``bounded_runs`` computes it (and the one-sided bounds);
 the published four-case recursion, reconciled against the kernel, lives
 in ``longrun.published``.  The null law needs only the symmetric total,
-which ``compositions_bounded`` counts with the kernel's one-sequence
-specialisation.
+which ``exact_null.compositions_bounded`` counts with the kernel's
+one-sequence specialisation.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from typing import NamedTuple
 
-CACHE_SIZE = 32  #: entries per cached engine; a power study at four n uses 20 count tables
-engine_cache = lru_cache(maxsize=CACHE_SIZE)
+from .exact_null import engine_cache
 
 
 class CountTable(NamedTuple):
@@ -69,41 +67,6 @@ def counts_by_ones(n: int, x1: int, x0: int) -> tuple[int, ...]:
     width = n + 1
     bits = format(bounded_runs(n, x1, x0, pack=width), f"0{width * width}b")
     return tuple(int(bits[i : i + width], 2) for i in range(len(bits) - width, -1, -width))
-
-
-def compositions_bounded(n: int, x: int) -> int:
-    """Number of compositions of n into parts from {1..x}.
-
-    compositions_bounded(0, x) == 1 (the empty composition).  For n >= 1
-    the parts are the runs of the strings that start with a one, so the
-    count is ``bounded_runs(n, x, x) // 2``.  With x1 = x0 and no packing
-    the kernel's two sequences are equal, which leaves the window
-    recurrence c(m) = 2 c(m-1) - c(m-1-x) for m > x (Schilling, College
-    Math. J. 1990), from c(0) = 1 and c(m) = 2^(m-1) for 1 <= m <= x.
-    """
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _compositions(n, x, _first_compositions(min(x + 1, n - x)))
-
-
-def _first_compositions(terms: int) -> list[int]:
-    """``terms`` counts 1, 1, 2, 4, ...: c(m) for m <= x, which the part bound x does not reach."""
-    return [1] + [1 << m for m in range(terms - 1)]
-
-
-def _compositions(n: int, x: int, firsts: list[int]) -> int:
-    if n <= x:
-        return 1 << (n - 1) if n else 1
-    # step m reads c(m-1-x), and m-1-x <= n-1-x: the window starts with
-    # c(0..x), or only c(0..n-1-x) when x >= (n-1)/2; appended terms follow
-    window = deque(firsts[: min(x + 1, n - x)])
-    last = 1 << (x - 1)  # c(x)
-    for _ in range(n - x):
-        last = (last << 1) - window.popleft()
-        window.append(last)
-    return last
 
 
 def _validate(n: int, x: int) -> None:

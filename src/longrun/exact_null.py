@@ -2,22 +2,57 @@
 
 Under the null the residual signs are independent fair coin flips, so
 every probability is a rational with denominator 2^n, kept as the
-integer count over 2^n from the bounded-run counting engine.  The
-published null recursion, a cross-check of this engine, lives in
-``longrun.published``.
+integer count over 2^n from ``compositions_bounded``.  The published
+null recursion, a cross-check of this engine, lives in ``longrun.published``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
-from .conditional_counts import _compositions, _first_compositions, engine_cache
 from .errors import ObservedOutOfRange
 
 CONVENTIONS = ("paper", "conservative")
 TAILS = ("unilateral", "bilateral")
+CACHE_SIZE = 32  #: entries per cached engine; a power study at four n uses 20 count tables
+engine_cache = lru_cache(maxsize=CACHE_SIZE)
+
+
+def compositions_bounded(n: int, x: int) -> int:
+    """Number of compositions of n into parts from {1..x}; 1 for n = 0 (the empty one).
+
+    The parts are the runs of the strings that start with a one, so for n >= 1 the count
+    is ``conditional_counts.bounded_runs(n, x, x) // 2``: the window recurrence
+    c(m) = 2 c(m-1) - c(m-1-x) for m > x (Schilling, College Math. J. 1990), from
+    c(0) = 1 and c(m) = 2^(m-1) for 1 <= m <= x.
+    """
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _compositions(n, x, _first_compositions(min(x + 1, n - x)))
+
+
+def _first_compositions(terms: int) -> list[int]:
+    """``terms`` counts 1, 1, 2, 4, ...: c(m) for m <= x, which the part bound x does not reach."""
+    return [1] + [1 << m for m in range(terms - 1)]
+
+
+def _compositions(n: int, x: int, firsts: list[int]) -> int:
+    if n <= x:
+        return 1 << (n - 1) if n else 1
+    # step m reads c(m-1-x), and m-1-x <= n-1-x: the window starts with
+    # c(0..x), or only c(0..n-1-x) when x >= (n-1)/2; appended terms follow
+    window = deque(firsts[: min(x + 1, n - x)])
+    last = 1 << (x - 1)  # c(x)
+    for _ in range(n - x):
+        last = (last << 1) - window.popleft()
+        window.append(last)
+    return last
 
 
 class ProbabilityTable(NamedTuple):
@@ -60,17 +95,19 @@ class CriticalValueResult(NamedTuple):
 def null_table_by_counting(n: int) -> ProbabilityTable:
     """Null pmf via bounded-run counting (authoritative engine).
 
-    Pr(L_n <= x) is the number of length-n binary strings whose runs of
-    either symbol are at most x, over 2^n.  Those strings are twice the
-    compositions of n into parts <= x (one for each first sign), counted
-    per x by the one-sequence window recurrence of
-    ``compositions_bounded``, all x sharing the initial powers of two.
+    Pr(L_n <= x) is the number of length-n binary strings whose runs of either symbol
+    are at most x, over 2^n: twice the compositions of n into parts <= x (one per first
+    sign), for x < n/2 from the window of ``compositions_bounded``.  For n/2 <= x < n at
+    most one run is longer than x, so the strings with one are counted by where it
+    starts: 2^(n-x) at the first place, 2^(n-x-1) after the other sign at n - x - 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    firsts = _first_compositions((n + 1) // 2)  # the most any x reads: min(x + 1, n - x)
-    below = (0, *(_compositions(n, x, firsts) << 1 for x in range(1, n + 1)))
-    return ProbabilityTable(n=n, below=below)
+    half = n // 2
+    firsts = _first_compositions(half)  # the most any x < half reads: x + 1
+    window = (_compositions(n, x, firsts) << 1 for x in range(1, half))
+    closed = ((1 << n) - ((n - x + 1) << (n - x - 1)) for x in range(max(half, 1), n))
+    return ProbabilityTable(n=n, below=(0, *window, *closed, 1 << n))
 
 
 def critical_value(

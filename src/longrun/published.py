@@ -16,8 +16,8 @@ from itertools import accumulate, pairwise
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .conditional_counts import CountTable, _validate, engine_cache, snk_dp
-from .exact_null import ProbabilityTable, null_table_by_counting
+from .conditional_counts import CountTable, _validate, snk_dp
+from .exact_null import ProbabilityTable, engine_cache, null_table_by_counting
 
 
 class Resolution(NamedTuple):

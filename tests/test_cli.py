@@ -15,11 +15,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from longrun import AlternativeSpec, ResidualSeries, power
+from longrun import cli
 from longrun.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REJECT,
+    build_parser,
     fraction_decimal,
     ingest,
     main,
@@ -60,10 +62,26 @@ UNREADABLE_CSVS = {
 }
 
 
+def undecodable_row(row, line):
+    """The error for a row holding an escaped byte (U+DC80..U+DCFF), else None."""
+    text = ",".join(row)
+    if not any("\udc80" <= c <= "\udcff" for c in text):
+        return None
+    try:
+        text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        err = UnreadableInput(line - 1, f"line {line}: {exc}")
+        err.__cause__ = exc
+        return err
+    raise AssertionError(f"{text!r} decodes")
+
+
 def row_loop_ingest(source):
     """``ingest`` as a Python loop over the rows: the reference for the column pass."""
     named = isinstance(source, (str, bytes))
-    with open(source, newline="", encoding="utf-8") if named else nullcontext(source) as fh:
+    opened = open(source, newline="", encoding="utf-8", errors="surrogateescape") if named \
+        else nullcontext(source)
+    with opened as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -71,6 +89,8 @@ def row_loop_ingest(source):
             raise MissingColumns("empty input")
         except (UnicodeDecodeError, csv.Error) as exc:
             raise UnreadableInput(reader.line_num, exc) from exc
+        if err := undecodable_row(header, 1):
+            raise err
         if header:
             header[0] = header[0].removeprefix("\ufeff")
         cols = [h.strip().lower() for h in header]
@@ -86,6 +106,8 @@ def row_loop_ingest(source):
         data = []
         try:
             for lineno, row in enumerate(reader, start=2):
+                if err := undecodable_row(row, lineno):
+                    raise err
                 if not row or all(not c.strip() for c in row):
                     continue
                 try:
@@ -214,6 +236,71 @@ class TestIngest:
             ingest(str(path))
         assert isinstance(exc.value.__cause__, read_error)
         assert 0 < exc.value.line <= 3002  # the lines read before the text failed
+
+
+class TestUndecodableByte:
+    """A byte that is not UTF-8 is named by its line, from a path and from stdin."""
+
+    LINE_3 = ("longrun: input error: unreadable text (lines read: 2): line 3: 'utf-8' codec "
+              "can't decode byte 0xff in position 2: invalid start byte\n")
+
+    def test_line_3_from_a_path_and_from_stdin(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_bytes(UNREADABLE_CSVS["undecodable"])
+        assert run_cli(capsys, "test", "-i", str(path)) == (EXIT_INPUT, "", self.LINE_3)
+        proc = run_module("-m", "longrun.cli", "test", "-i", "-",
+                          stdin=UNREADABLE_CSVS["undecodable"])
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (EXIT_INPUT, b"",
+                                                                        self.LINE_3)
+
+    @pytest.mark.parametrize("via", ["path", "stdin"])
+    def test_line_3002_of_a_21_kb_file(self, via, tmp_path):
+        data = b"x,residual\n" + b"3,0.25\n" * 3000 + b"2,\xff\n"
+        assert len(data) > 21_000
+        if via == "path":
+            path = tmp_path / "r.csv"
+            path.write_bytes(data)
+            with pytest.raises(UnreadableInput) as exc:
+                ingest(str(path))
+            err = str(exc.value)
+        else:
+            proc = run_module("-m", "longrun.cli", "test", "-i", "-", stdin=data)
+            assert proc.returncode == EXIT_INPUT
+            err = proc.stderr.decode().removeprefix("longrun: input error: ")
+        assert err.startswith("unreadable text (lines read: 3001): line 3002: 'utf-8' codec")
+
+    @pytest.mark.parametrize("data, line, row", [
+        (b"x,residual,note\n0,0.5,ok\n1,-0.5,caf\xe9\n", 3, b"1,-0.5,caf\xe9"),
+        (b"x,resid\xffual\n0,0.5\n", 1, b"x,resid\xffual"),
+        (b"x,residual\n0,0.5\n1,\xe2\x82\n2,oops\n", 3, b"1,\xe2\x82"),
+    ], ids=["unused_column", "header", "before_a_bad_row"])
+    def test_line_and_cause(self, data, line, row, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnreadableInput) as exc:
+            ingest(str(path))
+        assert exc.value.line == line - 1
+        assert str(exc.value).startswith(f"unreadable text (lines read: {line - 1}): line {line}: ")
+        cause = exc.value.__cause__
+        assert isinstance(cause, UnicodeDecodeError) and cause.object == row
+
+    def test_a_bad_row_before_it_wins(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"x,residual\n0,0.5\n1,oops\n2,\xff\n")
+        with pytest.raises(ParseError) as exc:
+            ingest(str(path))
+        assert exc.value.line == 3
+
+    def test_utf8_text_in_an_unused_column_reads(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("x,residual,note\n0,0.5,café\n1,-0.5,ok\n", encoding="utf-8")
+        series, _ = ingest(str(path))
+        assert series.residuals == (0.5, -0.5)
+
+    def test_a_caller_stream_is_read_as_given(self):
+        # text the caller decoded: a surrogate in an unused column is not a byte read here
+        series, _ = ingest(io.StringIO("x,residual,note\n0,0.5,\udcff\n1,-0.5,ok\n"))
+        assert series.n == 2
 
 
 class TestRunTest:
@@ -422,7 +509,6 @@ class TestCommands:
         assert {m for m in imported if m.split(b".")[0] == b"longrun"} == {
             b"longrun",
             b"longrun.cli",
-            b"longrun.conditional_counts",
             b"longrun.errors",
             b"longrun.exact_null",
             b"longrun.run_stats",
@@ -459,6 +545,7 @@ OFFERED = [
     ("oracle", "json"), ("oracle", "csv"),
 ]
 
+COMMANDS = list(dict.fromkeys(command for command, _ in OFFERED))
 SMALL_ARGS = {
     "table": ["--n", "4"],
     "critical": ["--n", "5", "--alpha", "1/4"],
@@ -499,6 +586,59 @@ class TestFlagsPerSubcommand:
             main(argv)
         assert exc.value.code == EXIT_CONFIG
         assert capsys.readouterr().out == ""
+
+
+def parse_outcome(parse, argv, capsys):
+    """(namespace or None, exit code or None, stdout, stderr) of one parse."""
+    try:
+        args, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out = capsys.readouterr()
+    return args, code, out.out, out.err
+
+
+class TestOneSubcommandParser:
+    """``main`` builds only the named subcommand's parser, with the full parser's behaviour."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("tail", [
+        ["--help"], ["-h"], ["--bogus", "1"], [], ["--format", "yaml"], ["--version"],
+        ["--n", "x"], ["-i", "r.csv", "--alpha"], ["--precision", "3", "extra"],
+        ["--n", "5", "--alpha", "1/20", "--p", "1/2", "--shift", "1"],
+    ], ids=["help", "h", "bad_flag", "missing_required", "bad_choice", "version", "bad_int",
+            "missing_value", "extra_positional", "exclusive"])
+    def test_same_output_as_the_full_parser(self, command, tail, capsys):
+        argv = [command, *tail]
+        single = parse_outcome(cli.parse_args, argv, capsys)
+        assert single == parse_outcome(build_parser().parse_args, argv, capsys)
+        assert single[1] in (None, 0, EXIT_CONFIG)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_valid_arguments_parse_alike(self, command, small_csv, capsys):
+        argv = [command, *SMALL_ARGS.get(command, ["-i", small_csv])]
+        single = parse_outcome(cli.parse_args, argv, capsys)
+        assert single[0] is not None and single[0]["command"] == command
+        assert single == parse_outcome(build_parser().parse_args, argv, capsys)
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["nosuch"], ["-h", "test"],
+                                      ["--version", "test"], ["tes", "-i", "r.csv"]])
+    def test_no_subcommand_first_gets_the_full_parser(self, argv, capsys):
+        got = parse_outcome(main, argv, capsys)
+        full = parse_outcome(build_parser().parse_args, argv, capsys)
+        assert got[1:] == full[1:] and got[1] is not None
+
+    def test_a_named_subcommand_builds_one_parser(self, small_csv, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only)
+                            or build_parser(only))
+        code, out, _ = run_cli(capsys, "test", "-i", small_csv, "--alpha", "1/4")
+        assert code == EXIT_OK and json.loads(out)["n_effective"] == 6
+        assert built == ["test"]
+
+    def test_commands_are_the_full_parsers_subcommands(self):
+        choices = build_parser()._subparsers._group_actions[0].choices
+        assert tuple(choices) == cli.COMMANDS
 
 
 class TestTextOutput:

@@ -225,4 +225,4 @@ def test_engine_caches_are_bounded():
         alternative.rejected_counts,
     )
     for fn in cached:
-        assert fn.cache_info().maxsize == conditional_counts.CACHE_SIZE
+        assert fn.cache_info().maxsize == exact_null.CACHE_SIZE

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longrun import (
+    compositions_bounded,
     critical_value,
     null_table_by_counting,
     null_table_riordan,
@@ -69,6 +70,35 @@ class TestCountingEngine:
         for k in range(-1, n + 2):
             assert t.cdf(k) == sum((t.p(j) for j in range(1, k + 1)), F(0))
             assert t.sf(k) == 1 - t.cdf(k)
+
+
+def compositions_by_largest_part(n):
+    """Compositions of n >= 1 by largest part, from all 2^(n-1) sets of cut points."""
+    counts = [0] * (n + 1)
+    joined = (1 << (n - 1)) - 1
+    for cuts in range(1 << (n - 1)):
+        v, longest = joined & ~cuts, 0  # bit i: places i+1 and i+2 in one part
+        while v:
+            v &= v >> 1
+            longest += 1
+        counts[longest + 1] += 1
+    return counts
+
+
+class TestClosedUpperHalf:
+    """below[x] for x >= n/2 comes from a closed form, the rest from the window."""
+
+    @pytest.mark.parametrize("first", range(1, 401, 50))
+    def test_below_equals_window_count(self, first):
+        for n in range(first, first + 50):
+            window = (0, *(compositions_bounded(n, x) << 1 for x in range(1, n + 1)))
+            assert null_table_by_counting(n).below == window, n
+
+    @pytest.mark.parametrize("n", range(0, 21))
+    def test_compositions_equal_enumeration(self, n):
+        by_largest = compositions_by_largest_part(n) if n else [1]
+        for x in range(1, n + 2):
+            assert compositions_bounded(n, x) == sum(by_largest[: x + 1]), x
 
 
 class TestRiordanEngine:
