@@ -97,8 +97,8 @@ def null_table_by_counting(n: int) -> ProbabilityTable:
 
     Pr(L_n <= x) is the number of length-n binary strings whose runs of either symbol
     are at most x, over 2^n: twice the compositions of n into parts <= x (one per first
-    sign), for x < n/2 from the window of ``compositions_bounded``.  For n/2 <= x < n at
-    most one run is longer than x, so the strings with one are counted by where it
+    sign), for x < n // 2 from the window of ``compositions_bounded``.  For n // 2 <= x < n
+    at most one run is longer than x, so the strings with one are counted by where it
     starts: 2^(n-x) at the first place, 2^(n-x-1) after the other sign at n - x - 1.
     """
     if n < 1:

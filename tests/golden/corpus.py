@@ -2,8 +2,8 @@
 
 Every case is recomputed in-process by ``tests/test_golden.py`` and compared
 with ``digests.json``.  A change that means to alter an output regenerates
-that file with ``python tests/golden/regenerate.py`` (from the repo root)
-and names each changed case.
+that file with ``PYTHONPATH=src python tests/golden/regenerate.py`` (from
+the repository root) and names each changed case.
 
 - ``cli``: argv, input CSV and the resulting exit code, stdout and stderr
   of ``longrun.cli.main``, for all seven subcommands and every offered
