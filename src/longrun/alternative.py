@@ -35,34 +35,28 @@ Prob = Fraction | mpmath.mpf
 
 class _AlternativeFields(NamedTuple):
     p: Prob
-    origin: str = "direct"
     shift: float | None = None
     sigma: float | None = None
 
 
 class AlternativeSpec(_AlternativeFields):
-    """Constant-shift alternative, parameterized by p = Pr(residual > 0)."""
+    """Constant-shift alternative: p = Pr(residual > 0), and the shift and sigma it came from."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __new__(cls, p, origin="direct", shift=None, sigma=None):
+    def __new__(cls, p, shift=None, sigma=None):
         as_prob(p)  # raises unless 0 < p < 1
-        return super().__new__(cls, p, origin, shift, sigma)
+        return super().__new__(cls, p, shift, sigma)
 
     @classmethod
     def direct(cls, p: Fraction | float | str) -> "AlternativeSpec":
         """p given directly; rationals (including decimal strings) stay exact."""
-        return cls(p=as_prob(p), origin="direct")
+        return cls(p=as_prob(p))
 
     @classmethod
     def gaussian_shift(cls, c: float, sigma: float) -> "AlternativeSpec":
-        return cls(
-            p=p_from_gaussian_shift(c, sigma),
-            origin="gaussian_shift",
-            shift=float(c),
-            sigma=float(sigma),
-        )
+        return cls(p=p_from_gaussian_shift(c, sigma), shift=float(c), sigma=float(sigma))
 
 
 class PowerResult(NamedTuple):

@@ -28,7 +28,7 @@ def plus_run_counts(n: int, x: int) -> CountTable:
         raise ValueError("n must be >= 1")
     if x < 0:
         raise ValueError("x must be >= 0")
-    return CountTable(n=n, x=x, counts=counts_by_ones(n, x, n), engine="plus_run_dp")
+    return CountTable(n=n, x=x, counts=counts_by_ones(n, x, n))
 
 
 def plus_run_cdf(n: int, k: int, p: Prob | float | str) -> Prob:

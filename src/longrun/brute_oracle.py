@@ -51,12 +51,12 @@ class JointCountTable(NamedTuple):
 
 
 @engine_cache
-def enumerate_joint(n: int, cap: int = ENUMERATION_CAP) -> JointCountTable:
+def enumerate_joint(n: int) -> JointCountTable:
     """Exhaustive scan of all 2^n bit patterns."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise CapExceeded(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     mask = (1 << n) - 1
     counts: dict[tuple[int, int], int] = {}
     counts_plus: dict[tuple[int, int], int] = {}

@@ -19,7 +19,7 @@ import sys
 from contextlib import nullcontext
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -36,8 +36,10 @@ from .errors import (
     UnreadableInput,
     ZeroResidual,
 )
-from .exact_null import critical_value, null_table_by_counting, p_value, rejection_region
-from .run_stats import ResidualSeries, RunSummary, longest_runs, signs_from_residuals
+from .exact_null import (CONVENTIONS, TAILS, critical_value, null_table_by_counting, p_value,
+                         rejection_region)
+from .run_stats import (ZERO_POLICIES, ResidualSeries, RunSummary, longest_runs,
+                        signs_from_residuals)
 
 SCHEMA_VERSION = 1
 
@@ -68,6 +70,15 @@ def prob_fields(value, precision: int) -> dict:
     return {"fraction": None, "decimal": mpmath.nstr(value, precision)}
 
 
+def record_dict(record: NamedTuple, precision: int, *probs: str) -> dict:
+    """A result record's fields as JSON, the named probabilities as ``prob_fields``."""
+    d = record._asdict()
+    for name in probs:
+        d[name] = prob_fields(d[name], precision)
+    d["schema"] = SCHEMA_VERSION
+    return d
+
+
 class TestReport(NamedTuple):
     n_effective: int
     dropped_zeros: int
@@ -82,10 +93,8 @@ class TestReport(NamedTuple):
     config: dict
 
     def to_dict(self, precision: int) -> dict:
-        d = self._asdict()
-        for name in ("p_value", "alpha", "attained_level"):
-            d[name] = prob_fields(d[name], precision)
-        d.update(schema=SCHEMA_VERSION, statistic=self.statistic._asdict(),
+        d = record_dict(self, precision, "p_value", "alpha", "attained_level")
+        d.update(statistic=self.statistic._asdict(),
                  critical_values={name: cv.c for name, cv in self.critical_values.items()})
         return d
 
@@ -139,8 +148,10 @@ def ingest(source) -> tuple[ResidualSeries, int]:
         except (ValueError, IndexError):
             bad = True
         if bad or escaped and not all(map(str.isascii, chain.from_iterable(rows))):
-            # the row loop, only to raise at the first bad row's line
-            for lineno, row in compress(enumerate(rows, 2), map(str.strip, map("".join, rows))):
+            # the row loop, only to raise at the first bad row's line; a row starts on
+            # the line after those that the header and the rows before it span
+            starts = accumulate(map(_lines, rows), initial=1 + _lines(header))
+            for lineno, row in compress(zip(starts, rows), map(str.strip, map("".join, rows))):
                 if escaped:
                     _check_decodable(row, lineno)
                 try:
@@ -154,6 +165,12 @@ def ingest(source) -> tuple[ResidualSeries, int]:
         raise err or MissingColumns("no data rows")
     del rows, kept  # before build, to cap the peak memory of a large file
     return build(*columns), 0
+
+
+def _lines(row: list[str]) -> int:
+    """The lines a row spans: one more per \\r\\n, \\r or \\n in a field, as ``TEXT`` splits."""
+    text = ",".join(row)
+    return 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
 def _check_decodable(row: list[str], line: int) -> None:
@@ -273,16 +290,8 @@ def _cmd_table(args) -> dict:
 
 
 def _cmd_critical(args) -> dict:
-    convention = "conservative" if args.conservative else "paper"
-    cv = critical_value(args.n, args.alpha, convention)
-    out = {
-        "schema": SCHEMA_VERSION,
-        "n": cv.n,
-        "alpha": prob_fields(cv.alpha, args.precision),
-        "c": cv.c,
-        "attained_level": prob_fields(cv.attained_level, args.precision),
-        "convention": cv.convention,
-    }
+    cv = critical_value(args.n, args.alpha, args.convention)
+    out = record_dict(cv, args.precision, "alpha", "attained_level")
     text = (
         f"n={cv.n} alpha={cv.alpha} convention={cv.convention}: "
         f"c={cv.c}, attained level {cv.attained_level} "
@@ -298,20 +307,10 @@ def _cmd_power(args) -> dict:
         spec = AlternativeSpec.direct(args.p)
     else:
         spec = AlternativeSpec.gaussian_shift(args.shift, args.sigma)
-    convention = "conservative" if args.conservative else "paper"
-    result = power(args.n, args.alpha, args.tail, convention, spec)
-    out = {
-        "schema": SCHEMA_VERSION,
-        "n": result.n,
-        "alpha": prob_fields(result.alpha, args.precision),
-        "tail": result.tail,
-        "convention": result.convention,
-        "p": prob_fields(spec.p, args.precision),
-        "c": spec.shift,
-        "sigma": spec.sigma,
-        "critical_region": result.critical_region,
-        "power": prob_fields(result.power, args.precision),
-    }
+    result = power(args.n, args.alpha, args.tail, args.convention, spec)
+    out = record_dict(result, args.precision, "alpha", "power")
+    del out["spec"]
+    out.update(p=prob_fields(spec.p, args.precision), c=spec.shift, sigma=spec.sigma)
     text = (
         f"n={result.n} alpha={result.alpha} {result.tail} "
         f"({result.convention}): region {result.critical_region}, "
@@ -406,10 +405,10 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     if p := command("test", _cmd_test, with_text, "run the lack-of-fit test on a CSV"):
         p.add_argument("--input", "-i", required=True, help="CSV path, or - for stdin")
         p.add_argument("--alpha", type=Fraction, default=Fraction(1, 20))
-        p.add_argument("--tail", choices=("unilateral", "bilateral"), default="unilateral")
-        p.add_argument("--convention", choices=("paper", "conservative"), default="paper")
+        p.add_argument("--tail", choices=TAILS, default="unilateral")
+        p.add_argument("--convention", choices=CONVENTIONS, default="paper")
         p.add_argument(
-            "--zero-policy", choices=("error", "drop"), default="error",
+            "--zero-policy", choices=ZERO_POLICIES, default="error",
             help="what to do with exactly-zero residuals (default error)",
         )
         p.add_argument(
@@ -423,7 +422,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     if p := command("critical", _cmd_critical, with_text, "critical value at a level"):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--alpha", type=Fraction, required=True)
-        p.add_argument("--conservative", action="store_true")
+        p.add_argument("--conservative", dest="convention", action="store_const",
+                       const="conservative", default="paper")
 
     if p := command("power", _cmd_power, with_text, "exact power under a shift alternative"):
         p.add_argument("--n", type=int, required=True)
@@ -432,8 +432,9 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         alt.add_argument("--p", type=str, help="Pr(residual > 0) directly")
         alt.add_argument("--shift", type=float, help="constant shift c, with --sigma")
         p.add_argument("--sigma", type=float, help="Gaussian error scale, with --shift only")
-        p.add_argument("--tail", choices=("unilateral", "bilateral"), default="unilateral")
-        p.add_argument("--conservative", action="store_true")
+        p.add_argument("--tail", choices=TAILS, default="unilateral")
+        p.add_argument("--conservative", dest="convention", action="store_const",
+                       const="conservative", default="paper")
 
     if p := command("snk", _cmd_snk, with_csv, "bounded-run counts by number of ones", False):
         p.add_argument("--n", type=int, required=True)

@@ -23,7 +23,6 @@ class CountTable(NamedTuple):
     n: int
     x: int
     counts: tuple[int, ...]  # index k = 0..n
-    engine: str
 
     @property
     def total(self) -> int:
@@ -80,4 +79,4 @@ def _validate(n: int, x: int) -> None:
 def snk_dp(n: int, x: int) -> CountTable:
     """Bounded-run counts from the run-state kernel ``bounded_runs``."""
     _validate(n, x)
-    return CountTable(n=n, x=x, counts=counts_by_ones(n, x, x), engine="dp")
+    return CountTable(n=n, x=x, counts=counts_by_ones(n, x, x))

@@ -22,7 +22,7 @@ class ObservedOutOfRange(LongrunError):
 
 
 class CapExceeded(LongrunError):
-    """Brute-force enumeration was requested beyond the configured cap."""
+    """Brute-force enumeration was requested beyond ``brute_oracle.ENUMERATION_CAP``."""
 
 
 class IngestError(LongrunError):

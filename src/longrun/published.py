@@ -217,4 +217,4 @@ def snk_proposition1(n: int, x: int) -> tuple[CountTable, DiscrepancyReport]:
         "proposition1", PROPOSITION1_RESOLUTIONS, {"n": n, "x": x},
         counts, snk_dp(n, x).counts,
     )
-    return CountTable(n=n, x=x, counts=counts, engine="proposition1"), report
+    return CountTable(n=n, x=x, counts=counts), report

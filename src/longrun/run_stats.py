@@ -20,24 +20,22 @@ ZERO_POLICIES = ("error", "drop")
 
 class _ResidualFields(NamedTuple):
     points: tuple[tuple[float, float], ...]
-    source: str = "precomputed"
 
 
 class ResidualSeries(_ResidualFields):
     """Covariate-ordered residuals.
 
     ``points`` is sorted ascending by covariate; ties keep input order.
-    ``source`` records whether residuals came in raw (y, fitted) form
-    or precomputed.  An empty series raises :class:`EmptySequence`.
+    An empty series raises :class:`EmptySequence`.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __new__(cls, points, source="precomputed"):
+    def __new__(cls, points):
         if len(points) < 1:
             raise EmptySequence("residual series is empty")
-        return super().__new__(cls, points, source)
+        return super().__new__(cls, points)
 
     @property
     def n(self) -> int:
@@ -51,13 +49,13 @@ class ResidualSeries(_ResidualFields):
     def from_residuals(cls, x: Iterable[float], residuals: Iterable[float]) -> "ResidualSeries":
         pts = list(zip(x, residuals, strict=True))
         pts.sort(key=itemgetter(0))  # sort is stable: covariate ties keep input order
-        return cls(points=tuple(pts), source="precomputed")
+        return cls(points=tuple(pts))
 
     @classmethod
     def from_raw(cls, x: Iterable[float], y: Iterable[float], fitted: Iterable[float]) -> "ResidualSeries":
         pts = list(zip(x, starmap(sub, zip(y, fitted, strict=True)), strict=True))
         pts.sort(key=itemgetter(0))
-        return cls(points=tuple(pts), source="raw")
+        return cls(points=tuple(pts))
 
 
 class SignSequence(NamedTuple):

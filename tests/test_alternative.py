@@ -59,11 +59,15 @@ class TestAlternativeSpec:
 
     def test_gaussian_shift_carries_parameters(self):
         spec = AlternativeSpec.gaussian_shift(0.5, 2.0)
-        assert spec.origin == "gaussian_shift"
         assert (spec.shift, spec.sigma) == (0.5, 2.0)
 
 
 class TestAltCdf:
+    @pytest.mark.parametrize("n, x", [(0, 0), (-1, 0), (4, -1), (4, 5)])
+    def test_refuses_n_below_1_and_x_outside_0_to_n(self, n, x):
+        with pytest.raises(ValueError, match="n must be >= 1" if n < 1 else "x must lie in 0..n"):
+            alt_cdf(n, x, AlternativeSpec.direct("0.6"))
+
     def test_fair_p_matches_null(self):
         assert alt_cdf(4, 2, AlternativeSpec.direct(F(1, 2))) == F(10, 16)
 

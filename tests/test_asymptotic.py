@@ -23,6 +23,13 @@ class TestPlusRunCounts:
     def test_vacuous(self):
         assert plus_run_counts(4, 4).counts[2] == 6
 
+    @pytest.mark.parametrize("n, x, message", [
+        (0, 1, "n must be >= 1"), (-2, 1, "n must be >= 1"), (4, -1, "x must be >= 0"),
+    ])
+    def test_refuses_n_below_1_and_negative_x(self, n, x, message):
+        with pytest.raises(ValueError, match=message):
+            plus_run_counts(n, x)
+
     def test_no_ones_allowed(self):
         t = plus_run_counts(3, 0)
         assert t.counts[0] == 1
@@ -62,6 +69,11 @@ class TestPlusRunCdf:
         # 1.5 used to give -8291/1024
         with pytest.raises(ValueError):
             plus_run_cdf(10, 3, p)
+
+    @pytest.mark.parametrize("k", [-1, 11])
+    def test_rejects_k_outside_0_to_n(self, k):
+        with pytest.raises(ValueError, match="k must lie in 0..n"):
+            plus_run_cdf(10, k, "0.7")
 
     def test_dominates_two_sided(self):
         for n in range(1, 13):

@@ -58,6 +58,12 @@ def test_cap():
         enumerate_joint(25)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_n_below_1(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        enumerate_joint(n)
+
+
 def test_marginals():
     t = enumerate_joint(5)
     assert sum(t.marginal_k().values()) == 32

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import nullcontext
@@ -59,7 +60,11 @@ PATH_OR_STDIN_CSVS = {
 UNREADABLE_CSVS = {
     "undecodable": b"x,residual\n0,0.5\n1,\xff\n",
     "oversized": b'x,residual\n0,0.5\n1,"' + b"9" * 200_000 + b'"\n',  # past csv's field limit
+    "oversized_header": b'x,"' + b"r" * 200_000 + b'"\n0,0.5\n',
 }
+# a quoted field spans lines 2 and 3, so the bad row is on line 4
+QUOTED_BREAK_CSV = 'x,residual,note\n0,0.5,"two\nlines"\n1,oops,x'
+LINE_BREAK = re.compile(r"\r\n|\r|\n")  # the line ends of a newline="" stream
 
 
 def undecodable_row(row, line):
@@ -105,7 +110,9 @@ def row_loop_ingest(source):
         idx = [cols.index(name) for name in names]
         data = []
         try:
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                # the row's first line: the lines read less the line breaks inside the row
+                lineno = reader.line_num - len(LINE_BREAK.findall(",".join(row)))
                 if err := undecodable_row(row, lineno):
                     raise err
                 if not row or all(not c.strip() for c in row):
@@ -126,12 +133,12 @@ def row_loop_ingest(source):
 
 
 def ingest_outcome(fn, make_source):
-    """What ``fn`` makes of a CSV: the exact points and source, or the exception."""
+    """What ``fn`` makes of a CSV: the exact points, or the exception."""
     try:
         series, dropped = fn(make_source())
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
         return type(exc), getattr(exc, "line", None), str(exc)
-    return repr(series.points), series.source, dropped
+    return repr(series.points), dropped
 
 
 NUMBERS = st.one_of(
@@ -181,7 +188,6 @@ class TestIngest:
     def test_three_column(self):
         series, _ = ingest(io.StringIO("x,y,fitted\n1,2,1.5\n0,0,0.2\n"))
         assert series.residuals == (-0.2, 0.5)
-        assert series.source == "raw"
 
     def test_two_column_passthrough_sorted(self):
         series, _ = ingest(io.StringIO("x,residual\n2,-0.1\n1,0.3\n"))
@@ -200,6 +206,13 @@ class TestIngest:
         with pytest.raises(NonFiniteValue):
             ingest(io.StringIO("x,residual\n1,nan\n"))
 
+    def test_an_oversized_header_field_is_unreadable(self):
+        with pytest.raises(UnreadableInput) as exc:
+            ingest(io.StringIO(UNREADABLE_CSVS["oversized_header"].decode()))
+        assert str(exc.value) == ("unreadable text (lines read: 1): "
+                                  "field larger than field limit (131072)")
+        assert isinstance(exc.value.__cause__, csv.Error)
+
     def test_blank_rows_skipped(self):
         series, _ = ingest(io.StringIO("x,residual\n1,0.3\n\n2,-0.1\n"))
         assert series.n == 2
@@ -210,6 +223,8 @@ class TestIngest:
     @example("x,residual\n")
     @example("x,residual\n  \n\t\n")
     @example("x,residual\n\n   \n1,-0.0\n0,0\n")
+    @example(QUOTED_BREAK_CSV)
+    @example('x,residual,"no\nte"\n0,0.5,a\n1,oops,b\n')  # a break in the header
     def test_column_pass_equals_row_loop(self, text):
         got = ingest_outcome(ingest, lambda: io.StringIO(text))
         assert got == ingest_outcome(row_loop_ingest, lambda: io.StringIO(text))
@@ -273,7 +288,8 @@ class TestUndecodableByte:
         (b"x,residual,note\n0,0.5,ok\n1,-0.5,caf\xe9\n", 3, b"1,-0.5,caf\xe9"),
         (b"x,resid\xffual\n0,0.5\n", 1, b"x,resid\xffual"),
         (b"x,residual\n0,0.5\n1,\xe2\x82\n2,oops\n", 3, b"1,\xe2\x82"),
-    ], ids=["unused_column", "header", "before_a_bad_row"])
+        (b'x,residual,note\n0,0.5,"a\nb\nc"\n1,\xff,x\n', 5, b"1,\xff,x"),
+    ], ids=["unused_column", "header", "before_a_bad_row", "after_a_quoted_break"])
     def test_line_and_cause(self, data, line, row, tmp_path):
         path = tmp_path / "r.csv"
         path.write_bytes(data)
@@ -301,6 +317,27 @@ class TestUndecodableByte:
         # text the caller decoded: a surrogate in an unused column is not a byte read here
         series, _ = ingest(io.StringIO("x,residual,note\n0,0.5,\udcff\n1,-0.5,ok\n"))
         assert series.n == 2
+
+
+class TestQuotedLineBreak:
+    """A line break inside a quoted field is a line of the file: later rows keep their line."""
+
+    @pytest.mark.parametrize("via", ["path", "stdin"])
+    @pytest.mark.parametrize("field, bad", [
+        ("two\nlines", "oops"), ("two\r\nlines", "oops"), ("two\rlines", "oops"),
+        ("two\nlines", "nan"),
+    ], ids=["LF", "CRLF", "CR", "non_finite"])
+    def test_the_bad_row_is_on_line_4(self, via, field, bad, tmp_path, capsys):
+        data = f'x,residual,note\n0,0.5,"{field}"\n1,{bad},x\n'.encode()
+        if via == "path":
+            path = tmp_path / "r.csv"
+            path.write_bytes(data)
+            code, out, err = run_cli(capsys, "test", "-i", str(path))
+        else:
+            proc = run_module("-m", "longrun.cli", "test", "-i", "-", stdin=data)
+            code, out, err = proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("longrun: input error: line 4: ")
 
 
 class TestRunTest:

@@ -87,7 +87,6 @@ class TestResidualSeries:
     def test_from_raw(self):
         s = ResidualSeries.from_raw([1.0, 0.0], [2.0, 0.0], [1.5, 0.2])
         assert s.residuals == (-0.2, 0.5)
-        assert s.source == "raw"
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequence):
