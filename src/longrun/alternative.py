@@ -22,13 +22,18 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import dps_to_prec, from_man_exp, mpf_pow_int, round_down
+from mpmath.libmp import (dps_to_prec, fone, from_int, from_man_exp, fzero, mpf_add, mpf_div,
+                          mpf_erf, mpf_erfc, mpf_lt, mpf_neg, mpf_pos, mpf_pow_int, mpf_shift,
+                          mpf_sqrt, round_down, round_nearest)
 
 from .conditional_counts import snk_dp
 from .exact_null import engine_cache, rejection_region
 
 INTERNAL_DPS = 50
 TAIL_BITS = 1 << 16  # a Gaussian-shift 1 - p below ~2^-TAIL_BITS (c/sigma > ~301) rounds p to 1
+_PREC = dps_to_prec(INTERNAL_DPS)  # 169 bits
+_WORK = _PREC + 10  # ncdf's working precision: mpmath adds 10 guard bits
+_SQRT2 = mpf_sqrt(from_int(2), _WORK, round_nearest)
 
 Prob = Fraction | mpmath.mpf
 
@@ -70,14 +75,25 @@ class PowerResult(NamedTuple):
 
 
 def p_from_gaussian_shift(c: float, sigma: float) -> mpmath.mpf:
-    """p = Phi(c/sigma) for Gaussian errors shifted by c; 1 - Phi(-c/sigma) if that rounds to 1."""
+    """p = Phi(c/sigma) for Gaussian errors shifted by c; 1 - Phi(-c/sigma) if that rounds to 1.
+
+    Phi is ``mpmath.ncdf`` at INTERNAL_DPS digits, bit for bit, run as its libmp steps
+    without mpmath's context layer: z = c/sigma at 169 bits, then with 10 guard bits
+    a = z/sqrt(2) and erfc(-a)/2 for a < 0, else (1 + erf(a))/2, rounded once to 169.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    z = mpf_div(mpmath.mpf(c, prec=_PREC)._mpf_, mpmath.mpf(sigma, prec=_PREC)._mpf_, _PREC,
+                round_nearest)
+    a = mpf_div(z, _SQRT2, _WORK, round_nearest)
+    if mpf_lt(a, fzero):
+        twice = mpf_erfc(mpf_neg(a), _WORK, round_nearest)
+    else:
+        twice = mpf_add(fone, mpf_erf(a, _WORK, round_nearest), _WORK, round_nearest)
+    if (p := mpf_pos(mpf_shift(twice, -1), _PREC, round_nearest)) != fone:
+        return mpmath.mp.make_mpf(p)
     with mpmath.workdps(INTERNAL_DPS):
-        z = mpmath.mpf(c) / mpmath.mpf(sigma)
-        if (p := mpmath.ncdf(z)) != 1:
-            return p
-        q = mpmath.ncdf(-z)
+        q = mpmath.ncdf(-mpmath.mp.make_mpf(z))
         return mpmath.fsub(1, q, prec=mpmath.mp.prec - max(mpmath.mag(q), -TAIL_BITS))
 
 

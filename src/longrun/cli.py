@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from decimal import Decimal, localcontext
+from decimal import Context
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import itemgetter
@@ -52,10 +52,11 @@ TEXT = {"encoding": "utf-8", "errors": "surrogateescape", "newline": ""}
 
 
 def fraction_decimal(value: Fraction, precision: int) -> str:
-    """Render an exact rational as a decimal with the given significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = precision
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+    """Render an exact rational as a decimal with the given significant digits.
+
+    The division runs in a fresh default context, whatever the caller's decimal settings.
+    """
+    return str(Context(prec=precision).divide(value.numerator, value.denominator))
 
 
 def prob_fields(value, precision: int) -> dict:
@@ -103,11 +104,13 @@ def ingest(source) -> tuple[ResidualSeries, int]:
     """Parse a residual CSV into a covariate-ordered series.
 
     Accepts header (x, y, fitted) or (x, residual).  Returns the series
-    plus 0 dropped rows (zero dropping happens at sign time).  Blank and
-    whitespace-only rows are dropped, then each column is parsed and checked
-    finite in one C-level pass; only if that fails does a row loop run, to
-    raise at the first bad row's line.  Text that cannot be decoded or split
-    into fields raises :class:`UnreadableInput`, after any bad row before it.
+    plus 0 dropped rows (zero dropping happens at sign time).  Each needed
+    column is parsed, and checked finite, in one C-level pass; a blank or
+    whitespace-only row does not parse, so only if that fails are those rows
+    dropped and the columns parsed again.  Only if that fails too, or a column
+    is not finite, does a row loop run, to raise at the first bad row's line.
+    Text that cannot be decoded or split into fields raises
+    :class:`UnreadableInput`, after any bad row before it.
     A path is decoded as ``TEXT``; from such a stream, text that is not all
     ASCII also runs the row loop, to find a byte that is not UTF-8.
     """
@@ -141,13 +144,14 @@ def ingest(source) -> tuple[ResidualSeries, int]:
         except (UnicodeDecodeError, csv.Error) as exc:  # raised once the rows before it pass
             err = UnreadableInput(reader.line_num, exc)
             err.__cause__ = exc
-        kept = list(compress(rows, map(str.strip, map("".join, rows))))
-        try:
-            columns = [list(map(float, map(itemgetter(i), kept))) for i in idx]
-            bad = not all(all(map(math.isfinite, c)) for c in columns)
-        except (ValueError, IndexError):
-            bad = True
-        if bad or escaped and not all(map(str.isascii, chain.from_iterable(rows))):
+        kept = rows
+        if (columns := _columns(rows, idx)) is None:
+            kept = list(compress(rows, map(str.strip, map("".join, rows))))
+            columns = _columns(kept, idx)
+        # a float sum is finite only if every term is, and an overflow is a false alarm
+        # that the row loop passes
+        if (columns is None or not all(math.isfinite(sum(c)) for c in columns)
+                or escaped and not all(map(str.isascii, chain.from_iterable(rows)))):
             # the row loop, only to raise at the first bad row's line; a row starts on
             # the line after those that the header and the rows before it span
             starts = accumulate(map(_lines, rows), initial=1 + _lines(header))
@@ -165,6 +169,14 @@ def ingest(source) -> tuple[ResidualSeries, int]:
         raise err or MissingColumns("no data rows")
     del rows, kept  # before build, to cap the peak memory of a large file
     return build(*columns), 0
+
+
+def _columns(rows: list[list[str]], idx: list[int]) -> list[list[float]] | None:
+    """The columns at ``idx`` parsed as floats, or None if a row is short or does not parse."""
+    try:
+        return [list(map(float, map(itemgetter(i), rows))) for i in idx]
+    except (ValueError, IndexError):
+        return None
 
 
 def _lines(row: list[str]) -> int:

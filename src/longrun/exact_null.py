@@ -157,10 +157,15 @@ class RejectionRegion(NamedTuple):
         return f"L < {self.lower.c} or L > {self.upper.c}"
 
 
+@engine_cache
 def rejection_region(
     n: int, alpha: Fraction | float | str, tail: str = "unilateral", convention: str = "paper"
 ) -> RejectionRegion:
-    """Rejection region of the level-alpha test; the bilateral one puts alpha/2 in each tail."""
+    """Rejection region of the level-alpha test; the bilateral one puts alpha/2 in each tail.
+
+    Built once per configuration: an alpha equal to another (1/20 and Decimal("0.05"))
+    shares its entry, as its ``Fraction(alpha)`` does; the float 0.05 is not 1/20.
+    """
     if tail not in TAILS:
         raise ValueError(f"unknown tail {tail!r}")
     alpha = Fraction(alpha)

@@ -2,20 +2,25 @@
 
 Residuals are ordered by the covariate; each one contributes a bit
 (1 for positive, 0 for negative) and the test statistic is the length
-of the longest block of equal bits.  Each step is one C-level pass: the
-bits are one ``bytes`` from ``operator.gt`` against 0 (``0 in residuals``
-finds zeros, -0.0 too), and L+ and L- its longest pieces split at 0 and 1.
+of the longest block of equal bits.  Each step is a few C-level passes:
+the bits are one ``bytes`` from ``operator.gt`` against zero (``zero in
+residuals`` finds zeros, -0.0 too), a float zero for float residuals, as
+float == int takes CPython's slower mixed-type compare; L+ and L- are the
+longest ``b"\1" * m`` and ``b"\0" * m`` found in those bytes, by galloping.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import compress, count, repeat, starmap
+from math import isnan
 from operator import eq, gt, itemgetter, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyAfterDrop, EmptySequence, ZeroResidual
 
 ZERO_POLICIES = ("error", "drop")
+_EXACT = frozenset((int, bool, Fraction))  # the number types that are never NaN
 
 
 class _ResidualFields(NamedTuple):
@@ -26,7 +31,8 @@ class ResidualSeries(_ResidualFields):
     """Covariate-ordered residuals.
 
     ``points`` is sorted ascending by covariate; ties keep input order.
-    An empty series raises :class:`EmptySequence`.
+    An empty series raises :class:`EmptySequence`, and a NaN covariate or
+    residual ValueError naming its index in the caller's order.
     """
 
     __slots__ = ()
@@ -35,6 +41,7 @@ class ResidualSeries(_ResidualFields):
     def __new__(cls, points):
         if len(points) < 1:
             raise EmptySequence("residual series is empty")
+        _refuse_nan(*zip(*points))
         return super().__new__(cls, points)
 
     @property
@@ -47,15 +54,44 @@ class ResidualSeries(_ResidualFields):
 
     @classmethod
     def from_residuals(cls, x: Iterable[float], residuals: Iterable[float]) -> "ResidualSeries":
-        pts = list(zip(x, residuals, strict=True))
-        pts.sort(key=itemgetter(0))  # sort is stable: covariate ties keep input order
-        return cls(points=tuple(pts))
+        return cls._ordered(list(x), list(residuals))
 
     @classmethod
     def from_raw(cls, x: Iterable[float], y: Iterable[float], fitted: Iterable[float]) -> "ResidualSeries":
-        pts = list(zip(x, starmap(sub, zip(y, fitted, strict=True)), strict=True))
-        pts.sort(key=itemgetter(0))
-        return cls(points=tuple(pts))
+        return cls._ordered(list(x), list(starmap(sub, zip(y, fitted, strict=True))))
+
+    @classmethod
+    def _ordered(cls, x: list, residuals: list) -> "ResidualSeries":
+        pts = list(zip(x, residuals, strict=True))
+        if not pts:
+            raise EmptySequence("residual series is empty")
+        _refuse_nan(x, residuals)  # on the columns, before the sort moves them
+        pts.sort(key=itemgetter(0))  # sort is stable: covariate ties keep input order
+        return super().__new__(cls, tuple(pts))
+
+
+def _refuse_nan(x: Sequence, residuals: Sequence) -> None:
+    """Raise ValueError at the first index where x or residuals holds a NaN.
+
+    A float sum is NaN when a term is, so a column of floats and ints costs one
+    C-level ``sum``, and a column of Fractions and ints, never NaN, one pass over
+    the types.  Any other column, or a NaN sum of inf - inf, takes the loop.
+    """
+    if _nan_free(x) and _nan_free(residuals):
+        return
+    for i, (xi, ri) in enumerate(zip(x, residuals)):
+        if xi != xi or ri != ri:  # NaN is the one value unequal to itself
+            raise ValueError(f"point {i} holds a NaN: covariate {xi!r}, residual {ri!r}")
+
+
+def _nan_free(column: Sequence) -> bool:
+    """True if no value in the non-empty column is NaN; False may be a false alarm."""
+    if type(column[0]) is Fraction and _EXACT.issuperset(map(type, column)):
+        return True  # and not the sum, which would add the Fractions one Python call each
+    try:
+        return not isnan(sum(column, 0.0))
+    except (TypeError, OverflowError):  # a Decimal; an int past the float range
+        return False
 
 
 class SignSequence(NamedTuple):
@@ -88,11 +124,14 @@ def signs_from_residuals(series: ResidualSeries, zero_policy: str = "error") -> 
     if zero_policy not in ZERO_POLICIES:
         raise ValueError(f"unknown zero policy {zero_policy!r}")
     res = series.residuals
-    zeros = tuple(compress(count(), map(eq, res, repeat(0)))) if 0 in res else ()
+    zero = 0.0 if type(res[0]) is float else 0  # exact either way: zero is zero
+    zeros = tuple(compress(count(), map(eq, res, repeat(zero)))) if zero in res else ()
     if zeros and zero_policy == "error":
         raise ZeroResidual(f"residual at ordered index {zeros[0]} is exactly zero")
-    # filter drops the zeros; bool, as a NumPy scalar's > gives numpy.bool, which bytes() refuses
-    bits = bytes(map(bool, map(gt, filter(None, res), repeat(0))))
+    try:  # filter drops the zeros
+        bits = bytes(map(gt, filter(None, res) if zeros else res, repeat(zero)))
+    except TypeError:  # a NumPy scalar's > gives numpy.bool, which bytes() refuses
+        bits = bytes(map(bool, map(gt, filter(None, res), repeat(zero))))
     if not bits:
         raise EmptyAfterDrop("all residuals are zero")
     return SignSequence(bits=tuple(bits), zero_positions=zeros)
@@ -113,6 +152,16 @@ def longest_runs(seq: SignSequence | Sequence[int]) -> RunSummary:
         raise ValueError("sign bits must be 0 or 1")
     if not packed:
         raise EmptySequence("cannot compute runs of an empty sequence")
-    l_plus = max(map(len, packed.split(b"\0")))
-    l_minus = max(map(len, packed.split(b"\1")))
+    l_plus, l_minus = _longest(packed, b"\1"), _longest(packed, b"\0")
     return RunSummary(l_plus=l_plus, l_minus=l_minus, l_n=max(l_plus, l_minus), k=packed.count(1))
+
+
+def _longest(packed: bytes, bit: bytes) -> int:
+    """The largest m with ``bit * m in packed``: double m while it is found, then bisect."""
+    lo, hi = 0, 1
+    while bit * hi in packed:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # bit * lo is found, bit * hi is not
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bit * mid in packed else (lo, mid)
+    return lo

@@ -17,7 +17,7 @@ from longrun import (
     p_from_gaussian_shift,
     power,
 )
-from longrun.alternative import mixture
+from longrun.alternative import TAIL_BITS, mixture
 from longrun.conditional_counts import snk_dp
 from longrun.exact_null import rejection_region
 
@@ -367,6 +367,25 @@ class TestGaussianShift:
                     want = mpmath.ncdf(mpmath.mpf(float(c)) / mpmath.mpf(sigma))
                 if want < 1:
                     assert p_from_gaussian_shift(float(c), sigma)._mpf_ == want._mpf_
+
+    def test_bit_identical_to_mpmath_ncdf(self):
+        # the libmp steps against mpmath.ncdf at 50 digits, both branches, on a seeded grid
+        def through_mpmath(c, sigma):
+            with mpmath.workdps(50):
+                z = mpmath.mpf(c) / mpmath.mpf(sigma)
+                if (p := mpmath.ncdf(z)) != 1:
+                    return p
+                q = mpmath.ncdf(-z)
+                return mpmath.fsub(1, q, prec=mpmath.mp.prec - max(mpmath.mag(q), -TAIL_BITS))
+
+        rng = random.Random(20)
+        grid = [(rng.uniform(-20, 20), rng.uniform(0.05, 5)) for _ in range(1500)]
+        grid += [(rng.gauss(0, 1), 1.0) for _ in range(300)]
+        grid += [(0.0, 1.0), (-0.0, 2.0), (5e-324, 1.0), (-15.2, 1.0), (15.2, 1.0), (40.0, 1.0),
+                 (-40.0, 1.0), (3, 7), ("0.3", 1.1), (mpmath.mpf("0.1"), 3)]
+        for c, sigma in grid:
+            assert p_from_gaussian_shift(c, sigma)._mpf_ == through_mpmath(c, sigma)._mpf_, (c, sigma)
+        assert sum(c / sigma > 15.1 for c, sigma in grid[:1800]) > 50  # the tail branch ran
 
     @pytest.mark.parametrize("shift", [15.2, 16.0, 40.0])
     def test_phi_rounding_to_one_keeps_1_minus_p(self, shift):

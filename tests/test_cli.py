@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 from contextlib import nullcontext
-from decimal import Decimal
+from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -217,6 +217,36 @@ class TestIngest:
         series, _ = ingest(io.StringIO("x,residual\n1,0.3\n\n2,-0.1\n"))
         assert series.n == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-5, 5), st.floats(-9, 9)), min_size=1, max_size=12),
+           st.lists(st.tuples(st.integers(0, 12), st.sampled_from(["", "   ", "\t", ",,", " , "])),
+                    max_size=6))
+    def test_blank_rows_anywhere_leave_the_series(self, points, blanks):
+        lines = [f"{x},{r!r}" for x, r in points]
+        want = ingest(io.StringIO("\n".join(["x,residual", *lines])))
+        for at, blank in sorted(blanks, reverse=True):
+            lines.insert(min(at, len(lines)), blank)
+        assert ingest(io.StringIO("\n".join(["x,residual", *lines]))) == want
+
+    @pytest.mark.parametrize("text, line", [
+        ("x,residual\n\n  \n,,\n0,0.5\n1,oops\n", 6),
+        ("x,residual\n0,0.5\n\t\n\n1,inf\n2,-1\n", 5),
+        ("x,y,fitted\n , \n0,1,0.5\n\n1,2\n", 5),
+    ])
+    def test_a_bad_row_after_blank_rows_is_named_by_its_line(self, text, line):
+        with pytest.raises((ParseError, NonFiniteValue)) as exc:
+            ingest(io.StringIO(text))
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("text", ["x,residual\n\n", "x,residual\n  \n,,\n\t,\n"])
+    def test_blank_rows_alone_are_no_data(self, text):
+        with pytest.raises(MissingColumns, match="^no data rows$"):
+            ingest(io.StringIO(text))
+
+    def test_an_overflowing_sum_is_not_a_bad_row(self):
+        series, _ = ingest(io.StringIO("x,residual\n1e308,1e308\n1e308,-1e308\n1e308,1\n"))
+        assert series.residuals == (1e308, -1e308, 1.0)
+
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(residual_csvs())
     @example("")
@@ -386,6 +416,12 @@ class TestRendering:
     def test_fraction_decimal(self):
         assert fraction_decimal(F(1, 8), 6) == "0.125"
         assert fraction_decimal(F(1, 3), 4) == "0.3333"
+
+    def test_fraction_decimal_ignores_the_callers_context(self):
+        with localcontext() as ctx:
+            ctx.prec, ctx.rounding, ctx.Emax = 2, ROUND_DOWN, 3
+            assert fraction_decimal(F(2, 3), 6) == "0.666667"
+            assert fraction_decimal(F(12345, 1), 3) == "1.23E+4"
 
 
 class TestCommands:

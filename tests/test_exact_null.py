@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -249,5 +250,22 @@ class TestRejectionRegion:
         assert region.size == F(13295, 524288)
 
     def test_invalid_tail(self):
-        with pytest.raises(ValueError):
-            rejection_region(10, F(1, 20), "triple")
+        for _ in range(2):  # an error is not cached: every call raises
+            with pytest.raises(ValueError):
+                rejection_region(10, F(1, 20), "triple")
+
+    def test_built_once_per_configuration(self):
+        region = rejection_region(40, F(1, 20), "bilateral", "conservative")
+        assert rejection_region(40, F(1, 20), "bilateral", "conservative") is region
+
+    @pytest.mark.parametrize("alpha", [F(1, 20), Decimal("0.05"), "1/20", "0.05", 0.05, 0.25])
+    def test_any_alpha_gives_the_region_of_its_fraction(self, alpha):
+        region = rejection_region(30, alpha, "bilateral")
+        assert region == rejection_region.__wrapped__(30, F(alpha), "bilateral")
+        assert region.upper.alpha == F(alpha) / 2
+
+    def test_float_alpha_is_its_own_key(self):
+        # 0.05 is not 1/20 as a float, so it neither shares nor evicts 1/20's entry
+        exact, rounded = rejection_region(50, F(1, 20)), rejection_region(50, 0.05)
+        assert exact.upper.alpha == F(1, 20) != rounded.upper.alpha == F(0.05)
+        assert rejection_region(50, F(1, 20)) is exact and rejection_region(50, 0.05) is rounded

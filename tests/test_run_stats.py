@@ -1,4 +1,7 @@
 import itertools
+import math
+import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -91,6 +94,64 @@ class TestResidualSeries:
     def test_empty_rejected(self):
         with pytest.raises(EmptySequence):
             ResidualSeries(points=())
+        with pytest.raises(EmptySequence):
+            ResidualSeries.from_residuals([], [])
+
+
+NAN = math.nan
+INF = math.inf
+
+
+class TestNaNRefused:
+    """A NaN has no sign and no order, so a series refuses it, named by its index."""
+
+    @pytest.mark.parametrize("x, residuals, index", [
+        ([1, 2, 3, 4], [0.5, NAN, -1, 2], 1),  # was read as a negative sign
+        ([3, NAN, 1, 2], [0.5, 1, -1, 2], 1),  # was left unsorted
+        ([0.0, 1.0], [Fraction(1, 3), Decimal("NaN")], 1),
+        ([Decimal(0), Decimal(1)], [Decimal(1), Decimal("NaN")], 1),
+        ([10**400, 0], [1.0, NAN], 1),  # an int past the float range
+    ])
+    def test_from_residuals(self, x, residuals, index):
+        with pytest.raises(ValueError, match=f"^point {index} holds a NaN"):
+            ResidualSeries.from_residuals(x, residuals)
+
+    def test_from_raw_inf_minus_inf(self):
+        with pytest.raises(ValueError, match="^point 2 holds a NaN"):
+            ResidualSeries.from_raw([0, 1, 2], [1.0, -INF, INF], [0.0, 0.0, INF])
+
+    def test_every_build_checks(self):
+        good = ResidualSeries.from_residuals([0, 1], [1.0, -1.0])
+        with pytest.raises(ValueError, match="^point 1 holds a NaN"):
+            good._replace(points=((0, 1.0), (1, NAN)))
+        with pytest.raises(ValueError, match="^point 0 holds a NaN"):
+            pickle.loads(pickle.dumps(tuple.__new__(ResidualSeries, (((NAN, 1.0),),))))
+
+    def test_numpy_nan(self):
+        np = pytest.importorskip("numpy")
+        with pytest.raises(ValueError, match="^point 2 holds a NaN"):
+            ResidualSeries.from_residuals(np.arange(3.0), np.array([1.0, -1.0, np.nan]))
+
+    def test_infinities_keep_their_sign_and_order(self):
+        s = ResidualSeries.from_residuals([INF, -INF, 0.0], [-INF, INF, 1.0])
+        assert s.points == ((-INF, INF), (0.0, 1.0), (INF, -INF))
+        assert signs_from_residuals(s).bits == (1, 1, 0)
+        # inf - inf in a column's sum is a false alarm, not a NaN
+        assert ResidualSeries.from_residuals([1e308, 1e308, 0.0], [INF, -INF, 1.0]).n == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(), st.integers(-3, 3)),
+        st.one_of(st.floats(), st.fractions(max_denominator=5)),
+    ), min_size=1, max_size=30))
+    def test_first_nan_named(self, points):
+        x, res = zip(*points)
+        first = next((i for i, (a, r) in enumerate(points) if a != a or r != r), None)
+        if first is None:
+            assert ResidualSeries.from_residuals(x, res).n == len(points)
+        else:
+            with pytest.raises(ValueError, match=f"^point {first} holds a NaN"):
+                ResidualSeries.from_residuals(x, res)
 
 
 class TestSigns:
@@ -184,6 +245,11 @@ class TestAgainstLoops:
             assert (r.l_plus, r.l_minus, r.l_n, r.k) == loop_runs(got.bits)
 
     @given(st.lists(st.sampled_from([0, 1, False, True, 0.0, 1.0]), min_size=1, max_size=64))
+    @example([1] * 64)
+    @example([0] * 64)
+    @example([1])
+    @example([0])
+    @example([0] * 31 + [1] + [0] * 32)
     def test_runs_of_bit_like_values(self, bits):
         r = longest_runs(bits)
         assert (r.l_plus, r.l_minus, r.l_n, r.k) == loop_runs(bits)
