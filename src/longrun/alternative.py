@@ -77,24 +77,30 @@ class PowerResult(NamedTuple):
 def p_from_gaussian_shift(c: float, sigma: float) -> mpmath.mpf:
     """p = Phi(c/sigma) for Gaussian errors shifted by c; 1 - Phi(-c/sigma) if that rounds to 1.
 
-    Phi is ``mpmath.ncdf`` at INTERNAL_DPS digits, bit for bit, run as its libmp steps
-    without mpmath's context layer: z = c/sigma at 169 bits, then with 10 guard bits
-    a = z/sqrt(2) and erfc(-a)/2 for a < 0, else (1 + erf(a))/2, rounded once to 169.
+    z = c/sigma is taken at INTERNAL_DPS digits (169 bits).
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     z = mpf_div(mpmath.mpf(c, prec=_PREC)._mpf_, mpmath.mpf(sigma, prec=_PREC)._mpf_, _PREC,
                 round_nearest)
+    if (p := _phi(z)) != fone:
+        return mpmath.mp.make_mpf(p)
+    q = mpmath.mp.make_mpf(_phi(mpf_neg(z)))
+    return mpmath.fsub(1, q, prec=_PREC - max(mpmath.mag(q), -TAIL_BITS))
+
+
+def _phi(z: tuple) -> tuple:
+    """Phi(z) as ``mpmath.ncdf`` gives it at INTERNAL_DPS digits, bit for bit.
+
+    Its libmp steps, without mpmath's context layer: with 10 guard bits a = z/sqrt(2),
+    then erfc(-a)/2 for a < 0, else (1 + erf(a))/2, rounded once to 169 bits.
+    """
     a = mpf_div(z, _SQRT2, _WORK, round_nearest)
     if mpf_lt(a, fzero):
         twice = mpf_erfc(mpf_neg(a), _WORK, round_nearest)
     else:
         twice = mpf_add(fone, mpf_erf(a, _WORK, round_nearest), _WORK, round_nearest)
-    if (p := mpf_pos(mpf_shift(twice, -1), _PREC, round_nearest)) != fone:
-        return mpmath.mp.make_mpf(p)
-    with mpmath.workdps(INTERNAL_DPS):
-        q = mpmath.ncdf(-mpmath.mp.make_mpf(z))
-        return mpmath.fsub(1, q, prec=mpmath.mp.prec - max(mpmath.mag(q), -TAIL_BITS))
+    return mpf_pos(mpf_shift(twice, -1), _PREC, round_nearest)
 
 
 def as_prob(p: Prob | float | str) -> Prob:

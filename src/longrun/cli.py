@@ -17,7 +17,8 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from decimal import Context
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, DivisionByZero,
+                     InvalidOperation, Overflow)
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import itemgetter
@@ -49,14 +50,20 @@ EXIT_INPUT = 2
 EXIT_CONFIG = 3
 # how ``longrun test`` decodes a path and stdin: ``ingest`` finds a byte that is not UTF-8
 TEXT = {"encoding": "utf-8", "errors": "surrogateescape", "newline": ""}
+# every field set, as a Context copies from decimal.DefaultContext each one it is not given
+_DECIMAL = Context(prec=28, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1,
+                   clamp=0, flags=[], traps=[InvalidOperation, DivisionByZero, Overflow])
 
 
 def fraction_decimal(value: Fraction, precision: int) -> str:
     """Render an exact rational as a decimal with the given significant digits.
 
-    The division runs in a fresh default context, whatever the caller's decimal settings.
+    The division and the rendering run in a copy of ``_DECIMAL``, so neither the
+    caller's decimal context nor ``decimal.DefaultContext`` changes the digits.
     """
-    return str(Context(prec=precision).divide(value.numerator, value.denominator))
+    ctx = _DECIMAL.copy()
+    ctx.prec = precision
+    return ctx.to_sci_string(ctx.divide(value.numerator, value.denominator))
 
 
 def prob_fields(value, precision: int) -> dict:

@@ -11,7 +11,6 @@ longest ``b"\1" * m`` and ``b"\0" * m`` found in those bytes, by galloping.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, count, repeat, starmap
 from math import isnan
 from operator import eq, gt, itemgetter, sub
@@ -20,7 +19,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import EmptyAfterDrop, EmptySequence, ZeroResidual
 
 ZERO_POLICIES = ("error", "drop")
-_EXACT = frozenset((int, bool, Fraction))  # the number types that are never NaN
 
 
 class _ResidualFields(NamedTuple):
@@ -74,8 +72,8 @@ def _refuse_nan(x: Sequence, residuals: Sequence) -> None:
     """Raise ValueError at the first index where x or residuals holds a NaN.
 
     A float sum is NaN when a term is, so a column of floats and ints costs one
-    C-level ``sum``, and a column of Fractions and ints, never NaN, one pass over
-    the types.  Any other column, or a NaN sum of inf - inf, takes the loop.
+    C-level ``sum``.  A column the sum refuses, or a NaN sum of inf - inf, takes
+    the loop.
     """
     if _nan_free(x) and _nan_free(residuals):
         return
@@ -85,9 +83,7 @@ def _refuse_nan(x: Sequence, residuals: Sequence) -> None:
 
 
 def _nan_free(column: Sequence) -> bool:
-    """True if no value in the non-empty column is NaN; False may be a false alarm."""
-    if type(column[0]) is Fraction and _EXACT.issuperset(map(type, column)):
-        return True  # and not the sum, which would add the Fractions one Python call each
+    """True if no value in the column is NaN; False may be a false alarm."""
     try:
         return not isnan(sum(column, 0.0))
     except (TypeError, OverflowError):  # a Decimal; an int past the float range

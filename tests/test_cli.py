@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 from contextlib import nullcontext
-from decimal import ROUND_DOWN, Decimal, localcontext
+from decimal import ROUND_DOWN, DefaultContext, Decimal, Inexact, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -419,9 +419,21 @@ class TestRendering:
 
     def test_fraction_decimal_ignores_the_callers_context(self):
         with localcontext() as ctx:
-            ctx.prec, ctx.rounding, ctx.Emax = 2, ROUND_DOWN, 3
+            ctx.prec, ctx.rounding, ctx.Emax, ctx.capitals = 2, ROUND_DOWN, 3, 0
+            ctx.traps[Inexact] = True
             assert fraction_decimal(F(2, 3), 6) == "0.666667"
             assert fraction_decimal(F(12345, 1), 3) == "1.23E+4"
+
+    def test_fraction_decimal_ignores_the_default_context(self):
+        saved = DefaultContext.copy()
+        try:
+            DefaultContext.rounding, DefaultContext.Emax, DefaultContext.capitals = ROUND_DOWN, 3, 0
+            DefaultContext.traps[Inexact] = True
+            assert fraction_decimal(F(2, 3), 6) == "0.666667"
+            assert fraction_decimal(F(12345, 1), 3) == "1.23E+4"
+        finally:
+            DefaultContext.rounding, DefaultContext.Emax = saved.rounding, saved.Emax
+            DefaultContext.capitals, DefaultContext.traps = saved.capitals, saved.traps
 
 
 class TestCommands:
