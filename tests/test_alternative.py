@@ -17,7 +17,8 @@ from longrun import (
     p_from_gaussian_shift,
     power,
 )
-from longrun.alternative import TAIL_BITS, mixture
+from longrun import alternative
+from longrun.alternative import TAIL_BITS, counts_at_most, mixture, rejected_counts
 from longrun.conditional_counts import snk_dp
 from longrun.exact_null import rejection_region
 
@@ -60,6 +61,66 @@ class TestAlternativeSpec:
     def test_gaussian_shift_carries_parameters(self):
         spec = AlternativeSpec.gaussian_shift(0.5, 2.0)
         assert (spec.shift, spec.sigma) == (0.5, 2.0)
+
+
+class TestGaussianSpecMemo:
+    @pytest.fixture
+    def phi_calls(self, monkeypatch):
+        """The (c, sigma) of every p_from_gaussian_shift call, on an emptied memo."""
+        calls = []
+
+        def counted(c, sigma):
+            calls.append((c, sigma))
+            return p_from_gaussian_shift(c, sigma)
+
+        alternative._gaussian_spec.cache_clear()
+        monkeypatch.setattr(alternative, "p_from_gaussian_shift", counted)
+        yield calls
+        alternative._gaussian_spec.cache_clear()
+
+    def test_phi_runs_once_per_shift_across_a_curve(self, phi_calls):
+        shifts = (-0.6, -0.3, 0.0, 0.3, 0.6)
+        for n in (60, 120, 180, 250):  # n-major, as a power study sweeps its curves
+            for tail in TAILS:
+                for c in shifts:
+                    power(n, F(1, 20), tail, "paper", AlternativeSpec.gaussian_shift(c, 1.0))
+        assert sorted(phi_calls) == sorted((c, 1.0) for c in shifts)
+
+    def test_equal_floats_return_the_same_spec(self, phi_calls):
+        spec = AlternativeSpec.gaussian_shift(0.3, 1.0)
+        assert AlternativeSpec.gaussian_shift(0.3, 1) is spec
+        assert AlternativeSpec.gaussian_shift("0.3", "1") is spec
+        assert AlternativeSpec.gaussian_shift(F(3, 10), 1.0) is spec
+        assert phi_calls == [(0.3, 1.0)]
+
+    def test_p_comes_from_the_recorded_floats(self, phi_calls):
+        from_str = AlternativeSpec.gaussian_shift("0.3", 1.0)
+        alternative._gaussian_spec.cache_clear()
+        from_float = AlternativeSpec.gaussian_shift(0.3, 1.0)
+        assert from_str is not from_float and from_str == from_float
+        assert from_str.p._mpf_ == p_from_gaussian_shift(0.3, 1.0)._mpf_
+        # the 169-bit decimal 0.3 is not the float 0.3
+        assert p_from_gaussian_shift("0.3", 1.0) != from_float.p
+
+    def test_spec_does_not_depend_on_the_caller_precision(self, phi_calls):
+        with mpmath.workdps(15):
+            low = AlternativeSpec.gaussian_shift(0.3, 1.0)
+        alternative._gaussian_spec.cache_clear()
+        with mpmath.workdps(80):
+            high = AlternativeSpec.gaussian_shift(0.3, 1.0)
+        assert low is not high and low.p._mpf_ == high.p._mpf_ and low == high
+
+    @pytest.mark.parametrize("c, message", [(1e300, "strictly between"), (-1e300, "c/sigma")])
+    def test_refusals_are_not_kept(self, phi_calls, c, message):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                AlternativeSpec.gaussian_shift(c, 1.0)
+        assert phi_calls == [(c, 1.0)] * 2
+        assert alternative._gaussian_spec.cache_info().currsize == 0
+
+    def test_memo_is_bounded(self):
+        assert alternative._gaussian_spec.cache_info().maxsize == alternative.SPEC_CACHE_SIZE
+        assert 1000 <= alternative.SPEC_CACHE_SIZE <= 2000
 
 
 class TestAltCdf:
@@ -202,27 +263,44 @@ class TestMixture:
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(0, 600),
-        shape=st.sampled_from(("random", "first", "last", "zeros")),
+        shape=st.sampled_from(("random", "first", "last", "zeros", "at most 4", "unilateral",
+                               "bilateral")),
         seed=st.integers(0, 2**32),
         log_d=st.floats(-80, math.log10(0.5)),  # log10 of the distance of p from 0 or from 1
         near_one=st.booleans(),
         prec=st.sampled_from((53, 166, 400)),  # 400: more bits than the mixture works at
+        shift=st.none() | st.floats(-3, 3),  # p = Phi(shift) as a Gaussian shift gives it
     )
-    @example(n=1200, shape="random", seed=1, log_d=-0.4, near_one=False, prec=166)
-    @example(n=1200, shape="random", seed=2, log_d=-30.0, near_one=True, prec=166)
-    @example(n=1200, shape="last", seed=3, log_d=-30.0, near_one=False, prec=53)
-    @example(n=400, shape="random", seed=4, log_d=-80.0, near_one=False, prec=166)
-    @example(n=300, shape="last", seed=5, log_d=-80.0, near_one=False, prec=53)
-    @example(n=300, shape="first", seed=6, log_d=-60.0, near_one=True, prec=400)
-    def test_mpf_branch_within_50_digits(self, n, shape, seed, log_d, near_one, prec):
+    @example(n=1200, shape="random", seed=1, log_d=-0.4, near_one=False, prec=166, shift=None)
+    @example(n=1200, shape="random", seed=2, log_d=-30.0, near_one=True, prec=166, shift=None)
+    @example(n=1200, shape="last", seed=3, log_d=-30.0, near_one=False, prec=53, shift=None)
+    @example(n=400, shape="random", seed=4, log_d=-80.0, near_one=False, prec=166, shift=None)
+    @example(n=300, shape="last", seed=5, log_d=-80.0, near_one=False, prec=53, shift=None)
+    @example(n=300, shape="first", seed=6, log_d=-60.0, near_one=True, prec=400, shift=None)
+    # alt-power's own inputs: the rejected counts of both tails at n = 250, p = Phi(+-0.3)
+    @example(n=250, shape="unilateral", seed=0, log_d=0.0, near_one=False, prec=53, shift=0.3)
+    @example(n=250, shape="unilateral", seed=0, log_d=0.0, near_one=False, prec=53, shift=-0.3)
+    @example(n=250, shape="bilateral", seed=0, log_d=0.0, near_one=False, prec=53, shift=0.3)
+    @example(n=250, shape="bilateral", seed=0, log_d=0.0, near_one=False, prec=53, shift=-0.3)
+    # leading zeros (the first nonzero count is past k = 0, and past k = n read by zeros),
+    # at a p below 2^-1000 and at a p within 1e-20 of 1
+    @example(n=250, shape="at most 4", seed=0, log_d=-310.0, near_one=False, prec=53, shift=None)
+    @example(n=250, shape="at most 4", seed=0, log_d=-20.0, near_one=True, prec=166, shift=None)
+    def test_mpf_branch_within_50_digits(self, n, shape, seed, log_d, near_one, prec, shift):
         rng = random.Random(seed)
         counts = [0] * (n + 1)
         if shape == "random":
             counts = [rng.getrandbits(rng.randint(0, n)) for _ in counts]
+        elif shape == "at most 4":
+            counts = counts_at_most(n, 4) if n else counts
+        elif shape in TAILS:
+            counts = rejected_counts(n, F(1, 20), shape, "paper")[1] if n else counts
         elif shape != "zeros":
             counts[0 if shape == "first" else n] = rng.getrandbits(n) + 1
         with mpmath.workprec(prec):
-            if near_one:  # 1 - d rounds to 1 once d < 2^-prec
+            if shift is not None:
+                p = p_from_gaussian_shift(shift, 1.0)
+            elif near_one:  # 1 - d rounds to 1 once d < 2^-prec
                 p = 1 - mpmath.mpf(10) ** max(log_d, 1 - 0.3 * prec)
             else:  # below 1e-55 (2^-183) the mixture cuts 1 - p to its working bits
                 p = mpmath.mpf(10) ** log_d
@@ -402,6 +480,24 @@ class TestGaussianShift:
             got = power(60, alpha, tail, "paper", spec).power
             want = power(60, alpha, tail, "paper", AlternativeSpec(p=dyadic(spec.p))).power
             assert abs(dyadic(got) - want) <= want * F(1, 10**50)
+
+    @pytest.mark.parametrize("c", [1e154, 2.0**512, 1e155, 1e300, math.inf])
+    def test_p_is_one_far_above_zero(self, c):
+        # mpmath's erfc series overflows a float from c/sigma ~ 1.9e154; p = 1 from 2^512 on
+        assert p_from_gaussian_shift(c, 1.0) == 1
+        assert p_from_gaussian_shift(c / 4, 0.25) == 1
+
+    @pytest.mark.parametrize("c", [-2.0**512, -1e155, -1e300])
+    def test_far_below_zero_is_refused_naming_c_over_sigma(self, c):
+        with pytest.raises(ValueError, match=r"c/sigma = -1\.\d+e\+\d+ is below -2\^512"):
+            p_from_gaussian_shift(c, 1.0)
+
+    def test_just_above_minus_2_to_512_still_runs(self):
+        p = p_from_gaussian_shift(-1e154, 1.0)
+        assert 0 < p < 1 and mpmath.mag(p) < -2**500
+        got = power(50, F(1, 20), "unilateral", "paper", AlternativeSpec(p=p)).power
+        with mpmath.workdps(60):
+            assert 0 <= 1 - got <= mpmath.mpf("1e-50")
 
     def test_shift_past_tail_bits_is_refused(self):
         # 1 - p ~ 1e-217147240959 would need ~7e11 bits; p rounds to 1 and is refused

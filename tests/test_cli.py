@@ -503,6 +503,18 @@ class TestCommands:
         assert code == EXIT_OK
         assert json.loads(out)["power"]["decimal"] == "1.0"
 
+    @pytest.mark.parametrize("shift, message", [
+        ("1e300", "p must lie strictly between 0 and 1"),
+        ("-1e300", "c/sigma = -1.0e+300 is below -2^512"),
+    ])
+    def test_power_with_an_extreme_shift_is_a_config_error(self, capsys, shift, message):
+        # past |c/sigma| ~ 1.9e154 mpmath's erfc series overflows a float: no traceback
+        code, out, err = run_cli(
+            capsys, "power", "--n", "50", "--alpha", "1/20", f"--shift={shift}", "--sigma", "1",
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert len(err.splitlines()) == 1 and message in err
+
     def test_power_config_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["power", "--n", "4", "--alpha", "0.05"])
