@@ -10,8 +10,10 @@ with q = b-a for p = a/b, divided by b^n once: exact for a rational p.  An
 mpf p = a*2^e weighs the smaller u of p and 1 - p by its count j: the sum is
 u^j0 v^(n-j0) T, v = 1 - u, T = sum_j c_j r^(j-j0) >= 1 from the first nonzero
 count j0, r = u/v <= 1 cut to W = dps_to_prec(INTERNAL_DPS + len(str(n)) + 1)
-bits.  Horner sums T in fixed point at W + bits(n) + 1 bits, cutting toward
-zero, and the powers are rounded down to W bits (README "Engines").  Every
+bits.  Horner sums T as s*2^-m, cutting toward zero, in blocks of 32 steps with
+one m each: the coarsest m <= sh = W + bits(n) + 1 at which s starts the block
+with sh + 32g + 5 bits (r >= 2^-g), or the block's last count alone leaves it
+sh + 5 bits or more.  The powers are rounded down to W bits (README "Engines").  Every
 term is nonnegative, so the relative error is under (n + 3)*2^(1-W): n from
 r^j, 1/4 from the cuts of T, 1 per power; at most 2.7e-52 at any n.
 """
@@ -19,7 +21,6 @@ r^j, 1/4 from the cuts of T, 1 per power; at most 2.7e-52 at any n.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -33,7 +34,7 @@ from .exact_null import engine_cache, rejection_region
 
 INTERNAL_DPS = 50
 TAIL_BITS = 1 << 16  # a Gaussian-shift 1 - p below ~2^-TAIL_BITS (c/sigma > ~301) rounds p to 1
-SPEC_CACHE_SIZE = 1024  #: Gaussian-shift specs kept, enough for a curve of hundreds of shifts
+_BLOCK = 32  # Horner steps of the mpf mixture between cuts of its sum
 _PREC = dps_to_prec(INTERNAL_DPS)  # 169 bits
 _WORK = _PREC + 10  # ncdf's working precision: mpmath adds 10 guard bits
 _SQRT2 = mpf_sqrt(from_int(2), _WORK, round_nearest)
@@ -64,11 +65,11 @@ class AlternativeSpec(_AlternativeFields):
 
     @classmethod
     def gaussian_shift(cls, c: float, sigma: float) -> "AlternativeSpec":
-        """p = Phi(c/sigma) of the floats c and sigma; equal floats return the same spec."""
-        return _gaussian_spec(float(c), float(sigma))
+        """p = Phi(c/sigma) of the floats c and sigma (-0.0 as 0.0); equal ones share a spec."""
+        return _gaussian_spec(float(c) + 0.0, float(sigma))
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)  # sound: p does not depend on the caller's precision
+@engine_cache  # sound: p does not depend on the caller's precision
 def _gaussian_spec(c: float, sigma: float) -> AlternativeSpec:
     return AlternativeSpec(p_from_gaussian_shift(c, sigma), c, sigma)
 
@@ -147,12 +148,24 @@ def mixture(counts: tuple[int, ...] | list[int], p: Prob) -> Prob:
     if (j0 := next((j for j, c in enumerate(reversed(counts)) if c), None)) is None:
         return mpmath.mpf(0)
     lift = bits + vm.bit_length() - um.bit_length()  # r = rho 2^-shift, rho >= 2^(W-1)
-    rho, shift, sh, s = (um << lift) // vm, lift + ve - ue, bits + n.bit_length() + 1, 0
-    for c in counts[:n + 1 - j0]:
-        s = (s * rho >> shift) + (c << sh)  # T 2^sh, cut toward zero
+    rho, shift, sh = (um << lift) // vm, lift + ve - ue, bits + n.bit_length() + 1
+    keep = sh + _BLOCK * (shift + 1 - rho.bit_length()) + 5  # room for r^_BLOCK >= 2^(keep-sh-5)
+    s, m, counts = 0, sh, counts[:n + 1 - j0]  # the sum so far is s 2^-m, m <= sh
+    for i in range(0, len(counts), _BLOCK):
+        block = counts[i:i + _BLOCK]
+        # coarsest m <= sh: s starts with `keep` bits, or the last count alone ends it >= sh + 5
+        d = max(s.bit_length() - keep, min(m + block[-1].bit_length(), s.bit_length()) - sh - 5,
+                m - sh)
+        s, m = s >> d if d >= 0 else s << -d, m - d
+        if m >= 0:
+            for c in block:
+                s = (s * rho >> shift) + (c << m)  # cut toward zero
+        else:
+            for c in block:
+                s = (s * rho >> shift) + (c >> -m)
     _, pu, eu, _ = mpf_pow_int(from_man_exp(um, ue), j0, bits, round_down)
     _, pv, ev, _ = mpf_pow_int(from_man_exp(vm, ve), n - j0, bits, round_down)
-    return mpmath.ldexp(s * pu * pv, eu + ev - sh)  # ldexp is exact
+    return mpmath.ldexp(s * pu * pv, eu + ev - m)  # ldexp is exact
 
 
 def counts_at_most(n: int, x: int) -> tuple[int, ...]:

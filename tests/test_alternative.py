@@ -17,7 +17,7 @@ from longrun import (
     p_from_gaussian_shift,
     power,
 )
-from longrun import alternative
+from longrun import alternative, exact_null
 from longrun.alternative import TAIL_BITS, counts_at_most, mixture, rejected_counts
 from longrun.conditional_counts import snk_dp
 from longrun.exact_null import rejection_region
@@ -34,6 +34,28 @@ def dyadic(x: mpmath.mpf) -> Fraction:
     """The exact rational value of an mpf."""
     man, exp = x.man_exp
     return F(man) * F(2) ** exp
+
+
+def shaped_counts(n: int, shape: str, seed: int):
+    """A length-(n + 1) count vector: synthetic, or as longrun builds it."""
+    rng = random.Random(seed)
+    counts = [0] * (n + 1)
+    if shape == "random":
+        counts = [rng.getrandbits(rng.randint(0, n)) for _ in counts]
+    elif shape == "at most 4":
+        counts = counts_at_most(n, 4) if n else counts
+    elif shape in TAILS:
+        counts = rejected_counts(n, F(1, 20), shape, "paper")[1] if n else counts
+    elif shape != "zeros":
+        counts[0 if shape == "first" else n] = rng.getrandbits(n) + 1
+    return counts
+
+
+def assert_mpf_within_50_digits(counts, p: mpmath.mpf):
+    """The mpf mixture is within 1e-50, relative, of the exact mixture at p's dyadic value."""
+    got, want = mixture(counts, p), mixture(counts, dyadic(p))
+    assert isinstance(got, mpmath.mpf)
+    assert abs(dyadic(got) - want) <= want * F(1, 10**50)
 
 
 def enumerated(n, p, event):
@@ -119,8 +141,14 @@ class TestGaussianSpecMemo:
         assert alternative._gaussian_spec.cache_info().currsize == 0
 
     def test_memo_is_bounded(self):
-        assert alternative._gaussian_spec.cache_info().maxsize == alternative.SPEC_CACHE_SIZE
-        assert 1000 <= alternative.SPEC_CACHE_SIZE <= 2000
+        assert alternative._gaussian_spec.cache_info().maxsize == exact_null.CACHE_SIZE
+
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    def test_minus_zero_is_recorded_as_zero_whatever_came_first(self, phi_calls, first):
+        specs = [AlternativeSpec.gaussian_shift(c, 1.0) for c in (first, -first)]
+        assert specs[0] is specs[1]
+        assert math.copysign(1.0, specs[0].shift) == 1.0
+        assert phi_calls == [(0.0, 1.0)]
 
 
 class TestAltCdf:
@@ -263,13 +291,14 @@ class TestMixture:
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(0, 600),
-        shape=st.sampled_from(("random", "first", "last", "zeros", "at most 4", "unilateral",
-                               "bilateral")),
+        # drawn: the four synthetic shapes; the count shapes of longrun come from examples
+        # and from test_mpf_branch_at_a_gaussian_shift
+        shape=st.sampled_from(("random", "first", "last", "zeros")),
         seed=st.integers(0, 2**32),
         log_d=st.floats(-80, math.log10(0.5)),  # log10 of the distance of p from 0 or from 1
         near_one=st.booleans(),
         prec=st.sampled_from((53, 166, 400)),  # 400: more bits than the mixture works at
-        shift=st.none() | st.floats(-3, 3),  # p = Phi(shift) as a Gaussian shift gives it
+        shift=st.none(),  # examples only: p = Phi(shift) as a Gaussian shift gives it
     )
     @example(n=1200, shape="random", seed=1, log_d=-0.4, near_one=False, prec=166, shift=None)
     @example(n=1200, shape="random", seed=2, log_d=-30.0, near_one=True, prec=166, shift=None)
@@ -287,16 +316,6 @@ class TestMixture:
     @example(n=250, shape="at most 4", seed=0, log_d=-310.0, near_one=False, prec=53, shift=None)
     @example(n=250, shape="at most 4", seed=0, log_d=-20.0, near_one=True, prec=166, shift=None)
     def test_mpf_branch_within_50_digits(self, n, shape, seed, log_d, near_one, prec, shift):
-        rng = random.Random(seed)
-        counts = [0] * (n + 1)
-        if shape == "random":
-            counts = [rng.getrandbits(rng.randint(0, n)) for _ in counts]
-        elif shape == "at most 4":
-            counts = counts_at_most(n, 4) if n else counts
-        elif shape in TAILS:
-            counts = rejected_counts(n, F(1, 20), shape, "paper")[1] if n else counts
-        elif shape != "zeros":
-            counts[0 if shape == "first" else n] = rng.getrandbits(n) + 1
         with mpmath.workprec(prec):
             if shift is not None:
                 p = p_from_gaussian_shift(shift, 1.0)
@@ -304,9 +323,29 @@ class TestMixture:
                 p = 1 - mpmath.mpf(10) ** max(log_d, 1 - 0.3 * prec)
             else:  # below 1e-55 (2^-183) the mixture cuts 1 - p to its working bits
                 p = mpmath.mpf(10) ** log_d
-        got, want = mixture(counts, p), mixture(counts, dyadic(p))
-        assert isinstance(got, mpmath.mpf)
-        assert abs(dyadic(got) - want) <= want * F(1, 10**50)
+        assert_mpf_within_50_digits(shaped_counts(n, shape, seed), p)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 600),
+        shape=st.sampled_from(("at most 4", "unilateral", "bilateral")),
+        shift=st.floats(-10, 10),  # past |shift| ~ 4, r = min(p, 1 - p) / max(p, 1 - p) < 2^-15
+    )
+    @example(n=1000, shape="unilateral", shift=-0.3)
+    @example(n=1000, shape="bilateral", shift=8.0)
+    def test_mpf_branch_at_a_gaussian_shift(self, n, shape, shift):
+        assert_mpf_within_50_digits(shaped_counts(n, shape, 0), p_from_gaussian_shift(shift, 1.0))
+
+    @pytest.mark.parametrize("n", [120, 180])
+    @pytest.mark.parametrize("p", ["0.1", "0.3", "0.7", "0.9"])
+    def test_mpf_branch_while_the_sum_collapses(self, n, p):
+        # 2^600 weighed by the smaller of p and 1 - p n times, and a 1 at the other end: the
+        # sum is cut to its working bits, then falls by ~101 (r = 1/9) or ~39 (r = 3/7) bits a
+        # block of 32 steps while it still dominates, so a block must start with room for that
+        counts = [1] + [0] * (n - 1) + [2**600]
+        with mpmath.workprec(166):
+            p = mpmath.mpf(p)
+        assert_mpf_within_50_digits(counts if p < 0.5 else counts[::-1], p)
 
     def test_mpf_p_too_small_for_an_exact_1_minus_p(self):
         # 1 - p needs about 7e11 bits exactly; a power of a sure rejection is 1
