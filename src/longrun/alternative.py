@@ -25,9 +25,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import (dps_to_prec, fone, from_int, from_man_exp, fzero, mpf_add, mpf_div,
-                          mpf_erf, mpf_erfc, mpf_lt, mpf_neg, mpf_pos, mpf_pow_int, mpf_shift,
-                          mpf_sqrt, round_down, round_nearest, to_str)
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_pow_int, round_down
 
 from .conditional_counts import snk_dp
 from .exact_null import engine_cache, rejection_region
@@ -35,9 +33,6 @@ from .exact_null import engine_cache, rejection_region
 INTERNAL_DPS = 50
 TAIL_BITS = 1 << 16  # a Gaussian-shift 1 - p below ~2^-TAIL_BITS (c/sigma > ~301) rounds p to 1
 _BLOCK = 32  # Horner steps of the mpf mixture between cuts of its sum
-_PREC = dps_to_prec(INTERNAL_DPS)  # 169 bits
-_WORK = _PREC + 10  # ncdf's working precision: mpmath adds 10 guard bits
-_SQRT2 = mpf_sqrt(from_int(2), _WORK, round_nearest)
 
 Prob = Fraction | mpmath.mpf
 
@@ -55,13 +50,12 @@ class AlternativeSpec(_AlternativeFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
     def __new__(cls, p, shift=None, sigma=None):
-        as_prob(p)  # raises unless 0 < p < 1
-        return super().__new__(cls, p, shift, sigma)
+        return super().__new__(cls, as_prob(p), shift, sigma)  # raises unless 0 < p < 1
 
     @classmethod
     def direct(cls, p: Fraction | float | str) -> "AlternativeSpec":
         """p given directly; rationals (including decimal strings) stay exact."""
-        return cls(p=as_prob(p))
+        return cls(p)
 
     @classmethod
     def gaussian_shift(cls, c: float, sigma: float) -> "AlternativeSpec":
@@ -87,35 +81,22 @@ class PowerResult(NamedTuple):
 def p_from_gaussian_shift(c: float, sigma: float) -> mpmath.mpf:
     """p = Phi(c/sigma) for Gaussian errors shifted by c; 1 - Phi(-c/sigma) if that rounds to 1.
 
-    z = c/sigma is taken at INTERNAL_DPS digits (169 bits).  From |z| = 2^512 on, p is 1
+    z = c/sigma and ``mpmath.ncdf`` run at INTERNAL_DPS digits.  From |z| = 2^512 on, p is 1
     above 0 and a ValueError below.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    z = mpf_div(mpmath.mpf(c, prec=_PREC)._mpf_, mpmath.mpf(sigma, prec=_PREC)._mpf_, _PREC,
-                round_nearest)
-    if z[2] + z[3] > 512:  # from |z| ~ 1.9e154 mpmath's erfc series overflows a float
-        if z[0]:
-            raise ValueError(f"c/sigma = {to_str(z, 5)} is below -2^512, where Phi is not computed")
-        return mpmath.mpf(1)
-    if (p := _phi(z)) != fone:
-        return mpmath.mp.make_mpf(p)
-    q = mpmath.mp.make_mpf(_phi(mpf_neg(z)))
-    return mpmath.fsub(1, q, prec=_PREC - max(mpmath.mag(q), -TAIL_BITS))
-
-
-def _phi(z: tuple) -> tuple:
-    """Phi(z) as ``mpmath.ncdf`` gives it at INTERNAL_DPS digits, bit for bit.
-
-    Its libmp steps, without mpmath's context layer: with 10 guard bits a = z/sqrt(2),
-    then erfc(-a)/2 for a < 0, else (1 + erf(a))/2, rounded once to 169 bits.
-    """
-    a = mpf_div(z, _SQRT2, _WORK, round_nearest)
-    if mpf_lt(a, fzero):
-        twice = mpf_erfc(mpf_neg(a), _WORK, round_nearest)
-    else:
-        twice = mpf_add(fone, mpf_erf(a, _WORK, round_nearest), _WORK, round_nearest)
-    return mpf_pos(mpf_shift(twice, -1), _PREC, round_nearest)
+    with mpmath.workdps(INTERNAL_DPS):
+        z = mpmath.mpf(c) / mpmath.mpf(sigma)
+        if mpmath.isfinite(z) and mpmath.mag(z) > 512:  # from |z| ~ 1.9e154 erfc overflows a float
+            if z < 0:
+                raise ValueError(f"c/sigma = {mpmath.nstr(z, 5)} is below -2^512, where Phi is "
+                                 "not computed")
+            return mpmath.mpf(1)
+        if (p := mpmath.ncdf(z)) != 1:
+            return p
+        q = mpmath.ncdf(-z)
+        return mpmath.fsub(1, q, prec=mpmath.mp.prec - max(mpmath.mag(q), -TAIL_BITS))
 
 
 def as_prob(p: Prob | float | str) -> Prob:

@@ -202,12 +202,13 @@ def _check_decodable(row: list[str], line: int) -> None:
 
 def run_test(
     series: ResidualSeries,
-    alpha: Fraction,
+    alpha: Fraction | float | str,
     tail: str = "unilateral",
     convention: str = "paper",
     zero_policy: str = "error",
 ) -> TestReport:
     """Compose sign extraction, the statistic, and the exact null machinery."""
+    alpha = Fraction(alpha)
     seq = signs_from_residuals(series, zero_policy)
     summary = longest_runs(seq)
     n = seq.n
@@ -385,6 +386,13 @@ def _cmd_oracle(args) -> dict:
 # ------------------------------------------------------------------ #
 
 
+def significant_digits(text: str) -> int:
+    """A --precision value: an int of at least 1, else a configuration error."""
+    if (digits := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: at least 1 digit")
+    return digits
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -413,7 +421,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         )
         if decimals:
             p.add_argument(
-                "--precision", type=int, default=6,
+                "--precision", type=significant_digits, default=6,
                 help="significant digits for decimal rendering (default 6)",
             )
         p.set_defaults(func=func, command=name)

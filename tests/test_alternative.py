@@ -84,6 +84,17 @@ class TestAlternativeSpec:
         spec = AlternativeSpec.gaussian_shift(0.5, 2.0)
         assert (spec.shift, spec.sigma) == (0.5, 2.0)
 
+    @pytest.mark.parametrize("build, want", [
+        (lambda: AlternativeSpec("7/10"), F(7, 10)),
+        (lambda: AlternativeSpec(0.7), F(0.7)),
+        (lambda: AlternativeSpec.direct("0.6")._replace(p="3/10"), F(3, 10)),
+    ], ids=["str", "float", "replace"])
+    def test_p_is_stored_as_the_exact_rational(self, build, want):
+        spec = build()
+        assert type(spec.p) is Fraction and spec.p == want
+        got = power(6, F(1, 4), "unilateral", "paper", spec).power
+        assert got == power(6, F(1, 4), "unilateral", "paper", AlternativeSpec(want)).power
+
 
 class TestGaussianSpecMemo:
     @pytest.fixture
@@ -486,7 +497,7 @@ class TestGaussianShift:
                     assert p_from_gaussian_shift(float(c), sigma)._mpf_ == want._mpf_
 
     def test_bit_identical_to_mpmath_ncdf(self):
-        # the libmp steps against mpmath.ncdf at 50 digits, both branches, on a seeded grid
+        # against mpmath.ncdf at 50 digits as written out here, both branches, on a seeded grid
         def through_mpmath(c, sigma):
             with mpmath.workdps(50):
                 z = mpmath.mpf(c) / mpmath.mpf(sigma)

@@ -411,6 +411,24 @@ class TestRunTest:
         assert r.n_effective == 3
         assert r.dropped_zeros == 1
 
+    def test_alpha_renders_as_its_exact_fraction_without_mpmath(self):
+        # in a fresh interpreter, where no other test has imported mpmath
+        script = "\n".join([
+            "import sys",
+            "from decimal import Decimal",
+            "from longrun.cli import run_test",
+            "from longrun.run_stats import ResidualSeries",
+            "series = ResidualSeries.from_residuals(range(6), [1, -1, 1, 1, 1, -1])",
+            "for alpha in ('1/20', Decimal('0.05'), 0.05):",
+            "    print(run_test(series, alpha).to_dict(6)['alpha']['fraction'])",
+            "print('mpmath' in sys.modules)",
+        ])
+        proc = run_module("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        dyadic = F(0.05)
+        assert proc.stdout.decode().split() == [
+            "1/20", "1/20", f"{dyadic.numerator}/{dyadic.denominator}", "False"]
+
 
 class TestRendering:
     def test_fraction_decimal(self):
@@ -496,16 +514,22 @@ class TestCommands:
         assert 0 < float(d["power"]["decimal"]) < 1
 
     def test_power_with_shift_beyond_phi_rounding(self, capsys):
-        # Phi(16) rounds to 1 at 50 digits; 1 - p = Phi(-16) ~ 6.4e-58 is kept
-        code, out, _ = run_cli(
-            capsys, "power", "--n", "60", "--alpha", "1/20", "--shift", "16", "--sigma", "1",
-        )
-        assert code == EXIT_OK
-        assert json.loads(out)["power"]["decimal"] == "1.0"
+        # Phi(16) rounds to 1 at 50 digits; 1 - p = Phi(-16) ~ 6.4e-58 is kept, and so is
+        # Phi(-300), near the TAIL_BITS limit
+        for shift in ("16", "300"):
+            code, out, _ = run_cli(
+                capsys, "power", "--n", "60", "--alpha", "1/20", "--shift", shift, "--sigma", "1",
+            )
+            assert code == EXIT_OK
+            assert json.loads(out)["power"]["decimal"] == "1.0"
 
     @pytest.mark.parametrize("shift, message", [
         ("1e300", "p must lie strictly between 0 and 1"),
         ("-1e300", "c/sigma = -1.0e+300 is below -2^512"),
+        ("inf", "p must lie strictly between 0 and 1"),
+        ("-inf", "p must lie strictly between 0 and 1"),
+        ("nan", "p must lie strictly between 0 and 1"),
+        ("302", "p must lie strictly between 0 and 1"),  # 1 - p below 2^-TAIL_BITS
     ])
     def test_power_with_an_extreme_shift_is_a_config_error(self, capsys, shift, message):
         # past |c/sigma| ~ 1.9e154 mpmath's erfc series overflows a float: no traceback
@@ -684,6 +708,16 @@ class TestFlagsPerSubcommand:
         assert exc.value.code == EXIT_CONFIG
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["test", "table", "critical", "power", "converge"])
+    @pytest.mark.parametrize("precision", ["0", "-2"])
+    def test_precision_below_one_is_config_error(self, command, precision, small_csv, capsys):
+        args = SMALL_ARGS.get(command, ["-i", small_csv])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--precision", precision])
+        assert exc.value.code == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and "argument --precision" in out.err
+
 
 def parse_outcome(parse, argv, capsys):
     """(namespace or None, exit code or None, stdout, stderr) of one parse."""
@@ -702,9 +736,9 @@ class TestOneSubcommandParser:
     @pytest.mark.parametrize("tail", [
         ["--help"], ["-h"], ["--bogus", "1"], [], ["--format", "yaml"], ["--version"],
         ["--n", "x"], ["-i", "r.csv", "--alpha"], ["--precision", "3", "extra"],
-        ["--n", "5", "--alpha", "1/20", "--p", "1/2", "--shift", "1"],
+        ["--n", "5", "--alpha", "1/20", "--p", "1/2", "--shift", "1"], ["--precision", "0"],
     ], ids=["help", "h", "bad_flag", "missing_required", "bad_choice", "version", "bad_int",
-            "missing_value", "extra_positional", "exclusive"])
+            "missing_value", "extra_positional", "exclusive", "precision_below_one"])
     def test_same_output_as_the_full_parser(self, command, tail, capsys):
         argv = [command, *tail]
         single = parse_outcome(cli.parse_args, argv, capsys)
