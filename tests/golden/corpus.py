@@ -13,6 +13,10 @@ the repository root) and names each changed case.
 - ``library``: the exact Fractions of ``p_value``, ``critical_value``,
   ``rejection_region``, ``alt_cdf``, ``power`` and ``plus_run_cdf`` for
   n = 1..60 at four rational p, one digest per (function, n).
+- ``large``: the same critical values and rejection regions at n = 500,
+  2000, 8000 and 10,000, and the p-values at n = 500 and 2000, one digest
+  per (function, n).  They were recorded from the whole null table, which
+  the tests never build at n >= 8000.
 - ``mpf``: Gaussian-shift p and powers, kept as 60-digit decimals of their
   exact values; an mpf result must lie within 1e-50 (relative) of them.
 """
@@ -39,6 +43,8 @@ PS = (Fraction(7, 10), Fraction(1, 3), Fraction(37, 80), Fraction(1, 2))
 TAILS = ("unilateral", "bilateral")
 CONVENTIONS = ("paper", "conservative")
 N_MAX = 60
+LARGE_NS = (500, 2000, 8000, 10_000)  # the large tier's decisions
+LARGE_P_VALUE_NS = (500, 2000)  # and its p-values, which still read the whole null table
 MPF_CASES = [(n, shift, tail) for n in (1, 10, 60, 250) for shift in (0.3, -2.0, 3.0)
              for tail in TAILS]
 MPF_DIGITS = 60
@@ -247,13 +253,12 @@ def _cv(cv) -> str:
     return f"c={cv.c} level={cv.attained_level}"
 
 
-def library_lines(n: int) -> dict[str, str]:
-    """Text of every library value at one n, by function."""
-    lines = {name: [] for name in ("p_value", "critical_value", "rejection_region", "alt_cdf",
-                                    "power", "plus_run_cdf")}
-    for tail in TAILS:
-        lines["p_value"] += [f"{obs} {tail} {longrun.p_value(n, obs, tail)}"
-                             for obs in range(1, n + 1)]
+def decision_lines(n: int, p_values: bool = True) -> dict[str, list[str]]:
+    """Lines of the critical values, rejection regions and (if asked for) p-values at one n."""
+    lines = {"critical_value": [], "rejection_region": []}
+    if p_values:
+        lines["p_value"] = [f"{obs} {tail} {longrun.p_value(n, obs, tail)}"
+                            for tail in TAILS for obs in range(1, n + 1)]
     for alpha in ALPHAS:
         for convention in CONVENTIONS:
             cv = longrun.critical_value(n, alpha, convention)
@@ -263,6 +268,12 @@ def library_lines(n: int) -> dict[str, str]:
                 crit = " ".join(f"{k}:{_cv(v)}" for k, v in region.critical_values.items())
                 lines["rejection_region"].append(
                     f"{alpha} {tail} {convention} {region} {crit} size={region.size}")
+    return lines
+
+
+def library_lines(n: int) -> dict[str, str]:
+    """Text of every library value at one n, by function."""
+    lines = decision_lines(n) | {name: [] for name in ("alt_cdf", "power", "plus_run_cdf")}
     for p in PS:
         spec = longrun.AlternativeSpec.direct(p)
         lines["alt_cdf"] += [f"{p} {x} {longrun.alt_cdf(n, x, spec)}" for x in range(n + 1)]
@@ -280,6 +291,12 @@ def library_lines(n: int) -> dict[str, str]:
 def library_digests() -> dict[str, str]:
     return {f"{name} n={n}": sha256(text)
             for n in range(1, N_MAX + 1) for name, text in library_lines(n).items()}
+
+
+def large_digests(ns=LARGE_NS) -> dict[str, str]:
+    """The large tier: decisions at every n of ``ns``, p-values where the null table is cheap."""
+    return {f"{name} n={n}": sha256("\n".join(text) + "\n")
+            for n in ns for name, text in decision_lines(n, n in LARGE_P_VALUE_NS).items()}
 
 
 def exact(value: mpmath.mpf) -> Fraction:

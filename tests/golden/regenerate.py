@@ -36,6 +36,7 @@ def build() -> dict:
         "cli": {name: corpus.cli_digest(r) for name, r in results.items()},
         "full_text": {name: results[name] for name in corpus.FULL_TEXT},
         "library": corpus.library_digests(),
+        "large": corpus.large_digests(),
         "mpf": mpf,
     }
 

@@ -54,6 +54,19 @@ def test_library_fractions():
     assert sorted(got) == sorted(DIGESTS["library"])
 
 
+def test_large_case_list_matches_the_digests():
+    assert sorted(DIGESTS["large"]) == sorted(
+        f"{name} n={n}" for n in corpus.LARGE_NS
+        for name in ("critical_value", "rejection_region", "p_value")
+        if name != "p_value" or n in corpus.LARGE_P_VALUE_NS)
+
+
+@pytest.mark.parametrize("n", corpus.LARGE_P_VALUE_NS)
+def test_large_decisions_and_p_values(n):
+    got = corpus.large_digests((n,))
+    assert [key for key in got if got[key] != DIGESTS["large"][key]] == []
+
+
 @pytest.mark.parametrize("case", corpus.MPF_CASES, ids=lambda c: corpus.mpf_key(*c))
 def test_mpf_within_1e_50_of_the_exact_value(case):
     spec, power = corpus.mpf_case(*case)
