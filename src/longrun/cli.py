@@ -48,6 +48,7 @@ EXIT_OK = 0
 EXIT_REJECT = 1  # only with --fail-on-reject
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
+MAX_PRECISION = 10**6  # most --precision digits: a Fraction's decimal prints every one
 # how ``longrun test`` decodes a path and stdin: ``ingest`` finds a byte that is not UTF-8
 TEXT = {"encoding": "utf-8", "errors": "surrogateescape", "newline": ""}
 # every field set, as a Context copies from decimal.DefaultContext each one it is not given
@@ -387,9 +388,9 @@ def _cmd_oracle(args) -> dict:
 
 
 def significant_digits(text: str) -> int:
-    """A --precision value: an int of at least 1, else a configuration error."""
-    if (digits := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"invalid value {text!r}: at least 1 digit")
+    """A --precision value: an int in 1..MAX_PRECISION, else a configuration error."""
+    if not 1 <= (digits := int(text)) <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: 1 to {MAX_PRECISION} digits")
     return digits
 
 
@@ -422,7 +423,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         if decimals:
             p.add_argument(
                 "--precision", type=significant_digits, default=6,
-                help="significant digits for decimal rendering (default 6)",
+                help=f"significant digits of a decimal (default 6, at most {MAX_PRECISION})",
             )
         p.set_defaults(func=func, command=name)
         return p

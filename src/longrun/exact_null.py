@@ -8,10 +8,10 @@ null recursion, a cross-check of this engine, lives in ``longrun.published``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from math import floor, log, log1p, log2
 from typing import NamedTuple
 
 from .errors import ObservedOutOfRange
@@ -106,14 +106,51 @@ def null_table_by_counting(n: int) -> ProbabilityTable:
     half = n // 2
     firsts = _first_compositions(half)  # the most any x < half reads: x + 1
     window = (_compositions(n, x, firsts) << 1 for x in range(1, half))
-    closed = ((1 << n) - ((n - x + 1) << (n - x - 1)) for x in range(max(half, 1), n))
+    closed = (below.__wrapped__(n, x) for x in range(max(half, 1), n))  # not cached
     return ProbabilityTable(n=n, below=(0, *window, *closed, 1 << n))
 
 
-def critical_value(
-    n: int, alpha: Fraction | float | str, convention: str = "paper"
-) -> CriticalValueResult:
-    """Critical value c for the unilateral region {L_n > c}.
+@engine_cache
+def below(n: int, x: int) -> int:
+    """``null_table_by_counting(n).below[x]``, one count: the length-n strings with L_n <= x."""
+    if not 0 < x < n:
+        return 0 if x <= 0 else 1 << n
+    if x < n // 2:
+        return compositions_bounded(n, x) << 1
+    return (1 << n) - ((n - x + 1) << (n - x - 1))  # less the strings with a run longer than x
+
+
+def _guess(n: int, alpha: Fraction) -> int:
+    """The x at which Pr(L_n > x) ~ 1 - exp(-n 2^-(x+1)) is alpha, rounded down: the
+    extreme-value law of Gordon, Schilling & Waterman (PTRF 72, 1986)."""
+    a, rest = float(alpha), 1 - alpha  # log2 of -ln(1 - alpha), never of a float 1 - alpha
+    if a > 0.5:
+        rate = log2(log(2) * (log2(rest.denominator) - log2(rest.numerator)))
+    else:  # -ln(1 - alpha) is alpha to double precision where float(alpha) is 0
+        rate = log2(-log1p(-a)) if a else log2(alpha.numerator) - log2(alpha.denominator)
+    return floor(log2(n) - 1 - rate)
+
+
+def _last_at_most(n: int, cut: int, x: int) -> int:
+    """Largest x < n with below(n, x) <= cut: from a guess x, step and gallop, then bisect."""
+    x, step = min(max(x, 0), n - 1), 1
+    if below(n, x) <= cut:
+        while x + step < n and below(n, x + step) <= cut:
+            x, step = x + step, 2 * step
+        lo, hi = x, min(x + step, n)
+    else:
+        while x - step > 0 and below(n, x - step) > cut:
+            x, step = x - step, 2 * step
+        lo, hi = max(x - step, 0), x
+    while hi - lo > 1:  # below(n, lo) <= cut < below(n, hi)
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if below(n, mid) <= cut else (lo, mid)
+    return lo
+
+
+def critical_value(n: int, alpha: Fraction | float | str,
+                   convention: str = "paper") -> CriticalValueResult:
+    """Critical value c for the unilateral region {L_n > c}, from a few exact counts.
 
     'paper' convention: largest c with Pr(L_n > c) >= alpha (the test
     may exceed the nominal level).  'conservative': smallest c with
@@ -124,15 +161,16 @@ def critical_value(
         raise ValueError("alpha must lie in (0, 1)")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    table = null_table_by_counting(n)
-    # (1 - alpha) 2^n = top/den; below[c] is an integer, and Pr(L_n > c) >= alpha exactly
-    # when below[c] <= floor(top/den), Pr(L_n > c) <= alpha when below[c] >= ceil(top/den)
-    top, den, below = (alpha.denominator - alpha.numerator) << n, alpha.denominator, table.below
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    # (1 - alpha) 2^n = top/den; below(n, c) is an integer, and Pr(L_n > c) >= alpha exactly
+    # when below(n, c) <= top // den, Pr(L_n > c) <= alpha when below(n, c) > (top - 1) // den
+    top, den = (alpha.denominator - alpha.numerator) << n, alpha.denominator
     paper = convention == "paper"
-    c = bisect_right(below, top // den) - 1 if paper else bisect_left(below, -(-top // den))
-    return CriticalValueResult(
-        n=n, alpha=alpha, c=c, attained_level=table.sf(c), convention=convention
-    )
+    cut = top // den if paper else (top - 1) // den
+    c = _last_at_most(n, cut, _guess(n, alpha)) + (not paper)  # the last c at most cut, or next
+    level = Fraction((1 << n) - below(n, c), 1 << n)
+    return CriticalValueResult(n=n, alpha=alpha, c=c, attained_level=level, convention=convention)
 
 
 class RejectionRegion(NamedTuple):
@@ -174,8 +212,8 @@ def rejection_region(
         return RejectionRegion(lower=None, upper=upper, size=upper.attained_level)
     lower = critical_value(n, 1 - alpha / 2, convention)
     upper = critical_value(n, alpha / 2, convention)
-    below = null_table_by_counting(n).below  # Pr(L_n < c_lower) + Pr(L_n > c_upper), one Fraction
-    size = Fraction(below[max(lower.c - 1, 0)] + (1 << n) - below[upper.c], 1 << n)
+    # Pr(L_n < c_lower) + Pr(L_n > c_upper), one Fraction
+    size = Fraction(below(n, lower.c - 1) + (1 << n) - below(n, upper.c), 1 << n)
     return RejectionRegion(lower=lower, upper=upper, size=size)
 
 

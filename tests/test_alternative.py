@@ -256,6 +256,16 @@ class TestPower:
             high = power(120, F(1, 20), tail, "paper", spec).power
             assert abs(low - high) <= mpmath.mpf("1e-45") * high
 
+    def test_builds_no_null_table(self):
+        for cache in (null_table_by_counting, rejection_region, rejected_counts):
+            cache.cache_clear()
+        for spec in (AlternativeSpec.direct("0.6"), AlternativeSpec.gaussian_shift(0.3, 1.0)):
+            for tail in TAILS:
+                for convention in CONVENTIONS:
+                    power(97, F(1, 20), tail, convention, spec)
+                    attained_size(97, F(1, 3), tail, convention)
+        assert null_table_by_counting.cache_info().misses == 0
+
     def test_invalid_config(self):
         spec = AlternativeSpec.direct("0.6")
         with pytest.raises(ValueError):

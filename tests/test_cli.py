@@ -719,6 +719,22 @@ class TestFlagsPerSubcommand:
         assert out.out == "" and "argument --precision" in out.err
 
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_precision_above_the_cap_is_config_error(self, command, small_csv, capsys):
+        args = SMALL_ARGS.get(command, ["-i", small_csv])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--precision", str(cli.MAX_PRECISION + 1)])
+        assert exc.value.code == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and "--precision" in out.err
+
+    def test_precision_at_the_cap_prints_every_digit(self, capsys):
+        code, out, _ = run_cli(capsys, "critical", "--n", "10", "--alpha", "1/3",
+                               "--precision", str(cli.MAX_PRECISION))
+        assert code == EXIT_OK
+        assert json.loads(out)["alpha"]["decimal"] == "0." + "3" * cli.MAX_PRECISION
+
+
 def parse_outcome(parse, argv, capsys):
     """(namespace or None, exit code or None, stdout, stderr) of one parse."""
     try:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from golden import corpus
+from longrun import null_table_by_counting
 
 DIGESTS = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
 
@@ -65,6 +66,14 @@ def test_large_case_list_matches_the_digests():
 def test_large_decisions_and_p_values(n):
     got = corpus.large_digests((n,))
     assert [key for key in got if got[key] != DIGESTS["large"][key]] == []
+
+
+@pytest.mark.parametrize("n", [n for n in corpus.LARGE_NS if n not in corpus.LARGE_P_VALUE_NS])
+def test_large_decisions_without_the_null_table(n):
+    built = null_table_by_counting.cache_info().misses
+    got = corpus.large_digests((n,))
+    assert [key for key in got if got[key] != DIGESTS["large"][key]] == []
+    assert null_table_by_counting.cache_info().misses == built
 
 
 @pytest.mark.parametrize("case", corpus.MPF_CASES, ids=lambda c: corpus.mpf_key(*c))
