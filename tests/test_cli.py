@@ -718,7 +718,6 @@ class TestFlagsPerSubcommand:
         out = capsys.readouterr()
         assert out.out == "" and "argument --precision" in out.err
 
-
     @pytest.mark.parametrize("command", COMMANDS)
     def test_precision_above_the_cap_is_config_error(self, command, small_csv, capsys):
         args = SMALL_ARGS.get(command, ["-i", small_csv])

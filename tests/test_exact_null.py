@@ -1,4 +1,3 @@
-from bisect import bisect_left, bisect_right
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,6 +20,12 @@ from longrun.errors import ObservedOutOfRange
 from longrun.exact_null import below, rejection_region
 
 F = Fraction
+CONVENTIONS = ("paper", "conservative")
+# alphas whose float is 0 (1e-400) or 1 (1-1e-40) among them
+ALPHAS = {"0.05": F(1, 20), "1_over_3": F(1, 3), "1e-40": F(1, 10**40),
+          "1-1e-40": 1 - F(1, 10**40), "2^-200": F(1, 2**200), "1e-400": F(1, 10**400),
+          "1e-30": F(1, 10**30), "1e-6": F(1, 10**6), "1e-3": F(1, 1000), "1_over_2": F(1, 2),
+          "999_over_1000": F(999, 1000)}
 
 
 class TestCountingEngine:
@@ -190,45 +195,27 @@ class TestCriticalValue:
         assert critical_value(n, alpha, "paper").c == paper
         assert critical_value(n, alpha, "conservative").c == conservative
 
-    @pytest.mark.parametrize(
-        "alpha", [F(1, 20), F(1, 3), F(1, 10**40), 1 - F(1, 10**40), F(1, 2**200)],
-        ids=["0.05", "1_over_3", "1e-40", "1-1e-40", "2^-200"],
-    )
+    @pytest.mark.parametrize("alpha", ALPHAS.values(), ids=ALPHAS.keys())
     def test_integer_cut_matches_fraction_definition(self, alpha):
         for n in range(1, 301):
             table = null_table_by_counting(n)
             sf = [table.sf(c) for c in range(n + 1)]
-            want = {
-                "paper": max(c for c in range(n + 1) if sf[c] >= alpha),
-                "conservative": min(c for c in range(n + 1) if sf[c] <= alpha),
-            }
-            for convention, c in want.items():
+
+            def want(alpha):
+                return {"paper": max(c for c in range(n + 1) if sf[c] >= alpha),
+                        "conservative": min(c for c in range(n + 1) if sf[c] <= alpha)}
+
+            lower, upper = want(1 - alpha / 2), want(alpha / 2)
+            for convention, c in want(alpha).items():
                 got = critical_value(n, alpha, convention)
                 assert (got.c, got.attained_level) == (c, sf[c])
                 region = rejection_region(n, alpha, "bilateral", convention)
+                assert (region.lower.c, region.upper.c) == (lower[convention], upper[convention])
                 assert region.size == table.cdf(region.lower.c - 1) + sf[region.upper.c]
 
 
-# alphas whose float is 0 (10^-400) or 1 (1 - 10^-40), beside the usual ones
-COUNT_ALPHAS = [F(1, 10**400), F(1, 10**30), F(1, 10**6), F(1, 1000), F(1, 20), F(1, 3),
-                F(1, 2), F(999, 1000), 1 - F(1, 10**40)]
-COUNT_IDS = ["1e-400", "1e-30", "1e-6", "1e-3", "1/20", "1/3", "1/2", "999/1000", "1-1e-40"]
-CONVENTIONS = ("paper", "conservative")
-
-
-def table_decision(n, alpha, convention):
-    """(c, attained level) read off the whole null table by bisection."""
-    table = null_table_by_counting(n)
-    top, den = (alpha.denominator - alpha.numerator) << n, alpha.denominator
-    if convention == "paper":
-        c = bisect_right(table.below, top // den) - 1
-    else:
-        c = bisect_left(table.below, -(-top // den))
-    return c, table.sf(c)
-
-
 def decision(n, alpha, convention):
-    """(c, attained level) of the count path, and how many counts it took."""
+    """(c, attained level) of ``critical_value``, and how many counts it took."""
     below.cache_clear()
     got = critical_value(n, alpha, convention)
     return (got.c, got.attained_level), below.cache_info().misses
@@ -243,36 +230,23 @@ class TestCountPath:
             counts = null_table_by_counting(n).below
             assert [below(n, x) for x in range(-1, n + 2)] == [0, *counts, counts[-1]], n
 
-    @pytest.mark.parametrize("alpha", COUNT_ALPHAS, ids=COUNT_IDS)
-    def test_equals_the_table_for_every_n_to_300(self, alpha):
-        for n in range(1, 301):
-            table = null_table_by_counting(n)
-            for convention in CONVENTIONS:
-                cv = critical_value(n, alpha, convention)
-                assert (cv.c, cv.attained_level) == table_decision(n, alpha, convention)
-                region = rejection_region(n, alpha, "bilateral", convention)
-                lower = table_decision(n, 1 - alpha / 2, convention)[0]
-                upper, upper_level = table_decision(n, alpha / 2, convention)
-                assert (region.lower.c, region.upper.c) == (lower, upper)
-                assert region.size == table.cdf(lower - 1) + upper_level
-
     @pytest.mark.parametrize("n", range(1, 21))
     def test_equals_enumeration(self, n):
         pmf = oracle_null_pmf(n)
-        for alpha in COUNT_ALPHAS:
+        sf = [pmf.sf(c) for c in range(n + 1)]
+        for alpha in ALPHAS.values():
             for convention in CONVENTIONS:
+                want = (max(c for c in range(n + 1) if sf[c] >= alpha) if convention == "paper"
+                        else min(c for c in range(n + 1) if sf[c] <= alpha))
+                assert critical_value(n, alpha, convention).c == want
                 for tail in ("unilateral", "bilateral"):
                     region = rejection_region(n, alpha, tail, convention)
                     rejected = [l for l in range(1, n + 1) if region.rejects(l)]
                     assert region.size == sum(map(pmf.p, rejected), F(0))
-                sf = [pmf.sf(c) for c in range(n + 1)]
-                want = (max(c for c in range(n + 1) if sf[c] >= alpha) if convention == "paper"
-                        else min(c for c in range(n + 1) if sf[c] <= alpha))
-                assert critical_value(n, alpha, convention).c == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 299, 1000, 10_000])
     def test_a_missed_guess_costs_log_n_counts(self, n, monkeypatch):
-        for alpha in COUNT_ALPHAS:
+        for alpha in ALPHAS.values():
             for convention in CONVENTIONS:
                 want, _ = decision(n, alpha, convention)
                 for guess in (0, n - 1):
@@ -284,16 +258,8 @@ class TestCountPath:
 
     @pytest.mark.parametrize("convention", CONVENTIONS)
     def test_the_guess_costs_two_counts_at_n_10_000(self, convention):
-        for alpha in COUNT_ALPHAS:
+        for alpha in ALPHAS.values():
             assert decision(10_000, alpha, convention)[1] <= 2
-
-    def test_no_null_table_is_built(self):
-        null_table_by_counting.cache_clear()
-        for alpha in COUNT_ALPHAS:
-            for convention in CONVENTIONS:
-                critical_value(3001, alpha, convention)
-                rejection_region.__wrapped__(3001, alpha, "bilateral", convention)
-        assert null_table_by_counting.cache_info().misses == 0
 
     @pytest.mark.parametrize(("convention", "c"), [("paper", 19), ("conservative", 20)])
     def test_n_100_000(self, convention, c):

@@ -62,18 +62,13 @@ def test_large_case_list_matches_the_digests():
         if name != "p_value" or n in corpus.LARGE_P_VALUE_NS)
 
 
-@pytest.mark.parametrize("n", corpus.LARGE_P_VALUE_NS)
-def test_large_decisions_and_p_values(n):
-    got = corpus.large_digests((n,))
-    assert [key for key in got if got[key] != DIGESTS["large"][key]] == []
-
-
-@pytest.mark.parametrize("n", [n for n in corpus.LARGE_NS if n not in corpus.LARGE_P_VALUE_NS])
-def test_large_decisions_without_the_null_table(n):
+@pytest.mark.parametrize("n", corpus.LARGE_NS)
+def test_large_tier(n):
     built = null_table_by_counting.cache_info().misses
     got = corpus.large_digests((n,))
     assert [key for key in got if got[key] != DIGESTS["large"][key]] == []
-    assert null_table_by_counting.cache_info().misses == built
+    if n not in corpus.LARGE_P_VALUE_NS:  # decisions alone build no null table
+        assert null_table_by_counting.cache_info().misses == built
 
 
 @pytest.mark.parametrize("case", corpus.MPF_CASES, ids=lambda c: corpus.mpf_key(*c))
