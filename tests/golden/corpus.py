@@ -16,9 +16,12 @@ the repository root) and names each changed case.
 - ``large``: the same critical values and rejection regions at n = 500,
   2000, 8000 and 10,000, and the p-values at n = 500 and 2000, one digest
   per (function, n).  They were recorded from the whole null table, which
-  the tests never build at n >= 8000.
-- ``mpf``: Gaussian-shift p and powers, kept as 60-digit decimals of their
-  exact values; an mpf result must lie within 1e-50 (relative) of them.
+  the tests never build at n >= 8000.  With them, the Fraction powers at
+  the three p other than 1/2: every configuration at n = 500, the
+  unilateral and bilateral paper tests at alpha = 1/20 at n = 2000.
+- ``mpf``: Gaussian-shift p and powers up to n = 2000, kept as 60-digit
+  decimals of their exact values; an mpf result must lie within 1e-50
+  (relative) of them.
 """
 
 from __future__ import annotations
@@ -45,7 +48,13 @@ CONVENTIONS = ("paper", "conservative")
 N_MAX = 60
 LARGE_NS = (500, 2000, 8000, 10_000)  # the large tier's decisions
 LARGE_P_VALUE_NS = (500, 2000)  # and its p-values, which still read the whole null table
-MPF_CASES = [(n, shift, tail) for n in (1, 10, 60, 250) for shift in (0.3, -2.0, 3.0)
+CONFIGS = [(alpha, tail, convention) for alpha in ALPHAS for tail in TAILS
+           for convention in CONVENTIONS]
+LARGE_POWER_CONFIGS = {  # and its Fraction powers; the counts at n = 2000 take about 2 s
+    500: CONFIGS,
+    2000: [(ALPHAS[0], tail, "paper") for tail in TAILS],
+}
+MPF_CASES = [(n, shift, tail) for n in (1, 10, 60, 250, 500, 2000) for shift in (0.3, -2.0, 3.0)
              for tail in TAILS]
 MPF_DIGITS = 60
 MPF_TOLERANCE = Fraction(1, 10**50)
@@ -271,20 +280,26 @@ def decision_lines(n: int, p_values: bool = True) -> dict[str, list[str]]:
     return lines
 
 
+def power_lines(n: int, ps, configs) -> list[str]:
+    """Lines of the Fraction powers at one n, for each p of ``ps`` and each configuration."""
+    lines = []
+    for p in ps:
+        spec = longrun.AlternativeSpec.direct(p)
+        for alpha, tail, convention in configs:
+            res = longrun.power(n, alpha, tail, convention, spec)
+            lines.append(f"{p} {alpha} {tail} {convention} {res.critical_region} {res.power}")
+    return lines
+
+
 def library_lines(n: int) -> dict[str, str]:
     """Text of every library value at one n, by function."""
-    lines = decision_lines(n) | {name: [] for name in ("alt_cdf", "power", "plus_run_cdf")}
+    lines = decision_lines(n) | {"alt_cdf": [], "power": power_lines(n, PS, CONFIGS),
+                                 "plus_run_cdf": []}
     for p in PS:
         spec = longrun.AlternativeSpec.direct(p)
         lines["alt_cdf"] += [f"{p} {x} {longrun.alt_cdf(n, x, spec)}" for x in range(n + 1)]
         lines["plus_run_cdf"] += [f"{p} {k} {longrun.plus_run_cdf(n, k, p)}"
                                   for k in range(n + 1)]
-        for alpha in ALPHAS:
-            for tail in TAILS:
-                for convention in CONVENTIONS:
-                    res = longrun.power(n, alpha, tail, convention, spec)
-                    lines["power"].append(
-                        f"{p} {alpha} {tail} {convention} {res.critical_region} {res.power}")
     return {name: "\n".join(text) + "\n" for name, text in lines.items()}
 
 
@@ -293,10 +308,18 @@ def library_digests() -> dict[str, str]:
             for n in range(1, N_MAX + 1) for name, text in library_lines(n).items()}
 
 
+def large_lines(n: int) -> dict[str, list[str]]:
+    """Decisions at n, with p-values where the null table is cheap and powers where listed."""
+    lines = decision_lines(n, n in LARGE_P_VALUE_NS)
+    if n in LARGE_POWER_CONFIGS:
+        lines["power"] = power_lines(n, PS[:3], LARGE_POWER_CONFIGS[n])  # p other than 1/2
+    return lines
+
+
 def large_digests(ns=LARGE_NS) -> dict[str, str]:
-    """The large tier: decisions at every n of ``ns``, p-values where the null table is cheap."""
+    """The large tier at every n of ``ns``, one digest per (function, n)."""
     return {f"{name} n={n}": sha256("\n".join(text) + "\n")
-            for n in ns for name, text in decision_lines(n, n in LARGE_P_VALUE_NS).items()}
+            for n in ns for name, text in large_lines(n).items()}
 
 
 def exact(value: mpmath.mpf) -> Fraction:

@@ -58,8 +58,9 @@ def test_library_fractions():
 def test_large_case_list_matches_the_digests():
     assert sorted(DIGESTS["large"]) == sorted(
         f"{name} n={n}" for n in corpus.LARGE_NS
-        for name in ("critical_value", "rejection_region", "p_value")
-        if name != "p_value" or n in corpus.LARGE_P_VALUE_NS)
+        for name in ("critical_value", "rejection_region", "p_value", "power")
+        if name != "p_value" or n in corpus.LARGE_P_VALUE_NS
+        if name != "power" or n in corpus.LARGE_POWER_CONFIGS)
 
 
 @pytest.mark.parametrize("n", corpus.LARGE_NS)
