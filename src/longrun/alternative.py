@@ -10,12 +10,9 @@ with q = b-a for p = a/b, divided by b^n once: exact for a rational p.  An
 mpf p = a*2^e weighs the smaller u of p and 1 - p by its count j: the sum is
 u^j0 v^(n-j0) T, v = 1 - u, T = sum_j c_j r^(j-j0) >= 1 from the first nonzero
 count j0, r = u/v <= 1 cut to W = dps_to_prec(INTERNAL_DPS + len(str(n)) + 1)
-bits.  Horner sums T as s*2^-m, cutting toward zero, in blocks of 32 steps with
-one m each: the coarsest m <= sh = W + bits(n) + 1 at which s starts the block
-with sh + 32g + 5 bits (r >= 2^-g), or the block's last count alone leaves it
-sh + 5 bits or more.  The powers are rounded down to W bits (README "Engines").  Every
-term is nonnegative, so the relative error is under (n + 3)*2^(1-W): n from
-r^j, 1/4 from the cuts of T, 1 per power; at most 2.7e-52 at any n.
+bits.  Horner sums T at the fixed point 2^-sh, sh = W + bits(n) + 1, cutting toward
+zero, and the powers are rounded down to W bits.  Every term is nonnegative, so the
+relative error is under (n + 3)*2^(1-W), at most 2.7e-52 at any n (README "Engines").
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from .exact_null import engine_cache, rejection_region
 
 INTERNAL_DPS = 50
 TAIL_BITS = 1 << 16  # a Gaussian-shift 1 - p below ~2^-TAIL_BITS (c/sigma > ~301) rounds p to 1
-_BLOCK = 32  # Horner steps of the mpf mixture between cuts of its sum
 
 Prob = Fraction | mpmath.mpf
 
@@ -130,23 +126,12 @@ def mixture(counts: tuple[int, ...] | list[int], p: Prob) -> Prob:
         return mpmath.mpf(0)
     lift = bits + vm.bit_length() - um.bit_length()  # r = rho 2^-shift, rho >= 2^(W-1)
     rho, shift, sh = (um << lift) // vm, lift + ve - ue, bits + n.bit_length() + 1
-    keep = sh + _BLOCK * (shift + 1 - rho.bit_length()) + 5  # room for r^_BLOCK >= 2^(keep-sh-5)
-    s, m, counts = 0, sh, counts[:n + 1 - j0]  # the sum so far is s 2^-m, m <= sh
-    for i in range(0, len(counts), _BLOCK):
-        block = counts[i:i + _BLOCK]
-        # coarsest m <= sh: s starts with `keep` bits, or the last count alone ends it >= sh + 5
-        d = max(s.bit_length() - keep, min(m + block[-1].bit_length(), s.bit_length()) - sh - 5,
-                m - sh)
-        s, m = s >> d if d >= 0 else s << -d, m - d
-        if m >= 0:
-            for c in block:
-                s = (s * rho >> shift) + (c << m)  # cut toward zero
-        else:
-            for c in block:
-                s = (s * rho >> shift) + (c >> -m)
+    s = 0  # the sum so far is s 2^-sh
+    for c in counts[:n + 1 - j0]:
+        s = (s * rho >> shift) + (c << sh)  # cut toward zero
     _, pu, eu, _ = mpf_pow_int(from_man_exp(um, ue), j0, bits, round_down)
     _, pv, ev, _ = mpf_pow_int(from_man_exp(vm, ve), n - j0, bits, round_down)
-    return mpmath.ldexp(s * pu * pv, eu + ev - m)  # ldexp is exact
+    return mpmath.ldexp(s * pu * pv, eu + ev - sh)  # ldexp is exact
 
 
 def counts_at_most(n: int, x: int) -> tuple[int, ...]:

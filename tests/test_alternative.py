@@ -361,8 +361,8 @@ class TestMixture:
     @pytest.mark.parametrize("p", ["0.1", "0.3", "0.7", "0.9"])
     def test_mpf_branch_while_the_sum_collapses(self, n, p):
         # 2^600 weighed by the smaller of p and 1 - p n times, and a 1 at the other end: the
-        # sum is cut to its working bits, then falls by ~101 (r = 1/9) or ~39 (r = 3/7) bits a
-        # block of 32 steps while it still dominates, so a block must start with room for that
+        # sum starts at 2^600 and falls by ~380-570 (r = 1/9) or ~147-220 (r = 3/7) bits
+        # while that term still dominates it, so the fixed point cuts s at every size
         counts = [1] + [0] * (n - 1) + [2**600]
         with mpmath.workprec(166):
             p = mpmath.mpf(p)
@@ -408,9 +408,12 @@ class TestRatioHorner:
             p = mpmath.mpf(0.5) + sign * mpmath.ldexp(1, -200)
         assert dyadic(p) == F(1, 2) + sign * F(1, 2**200)
         rng = random.Random(200)
-        for n in (1, 60, 250):
+        # at n = 1000, r ~ 1 leaves the sum of the binomial row about 2^n: s carries about
+        # n + W bits, the widest fixed point
+        for n in (1, 60, 250, 1000):
+            drawn = [[rng.getrandbits(n) for _ in range(n + 1)]] if n < 1000 else []
             for counts in ([comb(n, k) for k in range(n + 1)],  # sums to exactly 1
-                           [rng.getrandbits(n) for _ in range(n + 1)],
+                           *drawn,
                            snk_dp(n, 4).counts):
                 got, want = mixture(counts, p), mixture(counts, dyadic(p))
                 assert abs(dyadic(got) - want) <= want * F(1, 10**50)
