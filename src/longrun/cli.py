@@ -256,14 +256,19 @@ _RENDER = {"json": _emit_json, "csv": _emit_csv, "text": str}
 
 
 def _cmd_test(args) -> dict:
-    if args.input != "-":
-        series, _ = ingest(args.input)
-    else:  # decoded as a path is
-        stdin = io.TextIOWrapper(sys.stdin.buffer, **TEXT)
-        try:
-            series, _ = ingest(stdin)
-        finally:
-            stdin.detach()  # sys.stdin stays open
+    try:
+        if args.input != "-":
+            series, _ = ingest(args.input)
+        elif sys.stdin is None:  # the process started with its stdin closed
+            raise IngestError("stdin is closed")
+        else:  # decoded as a path is
+            stdin = io.TextIOWrapper(sys.stdin.buffer, **TEXT)
+            try:
+                series, _ = ingest(stdin)
+            finally:
+                stdin.detach()  # sys.stdin stays open
+    except OSError as exc:  # opening or reading the input; an error writing stdout is not one
+        raise IngestError(exc) from exc
     report = run_test(series, args.alpha, args.tail, args.convention, args.zero_policy)
     d = report.to_dict(args.precision)
     lines = [
@@ -501,7 +506,7 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(0)
         outputs = args.func(args)
         sys.stdout.write(_RENDER[args.format](outputs[args.format]))
-    except (IngestError, ZeroResidual, EmptyAfterDrop, FileNotFoundError) as exc:
+    except (IngestError, ZeroResidual, EmptyAfterDrop) as exc:
         sys.stderr.write(f"longrun: input error: {exc}\n")
         return EXIT_INPUT
     except (LongrunError, ValueError) as exc:

@@ -26,7 +26,7 @@ class CapExceeded(LongrunError):
 
 
 class IngestError(LongrunError):
-    """Base class for CSV ingestion failures."""
+    """Base class for CSV ingestion failures; raised itself when the input cannot be read."""
 
 
 class ParseError(IngestError):

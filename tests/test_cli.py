@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -574,6 +575,43 @@ class TestCommands:
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "test", "-i", "/nonexistent.csv")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("where", ["a_directory", "under_a_file", "proc_self_mem"])
+    def test_a_path_that_cannot_be_opened_or_read_is_input_error(self, where, small_csv, capsys):
+        path = {"a_directory": str(Path(small_csv).parent),
+                "under_a_file": os.path.join(small_csv, "x"),
+                "proc_self_mem": "/proc/self/mem"}[where]  # opens, but reading it fails (EIO)
+        if not os.path.exists(path) and where == "proc_self_mem":
+            pytest.skip("no /proc/self/mem on this platform")
+        code, out, err = run_cli(capsys, "test", "-i", path)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("longrun: input error: [Errno ") and err.count("\n") == 1
+
+    def test_a_closed_stdin_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)  # what Python sets when it starts without fd 0
+        assert run_cli(capsys, "test", "-i", "-") == (
+            EXIT_INPUT, "", "longrun: input error: stdin is closed\n")
+
+    def test_a_stdin_that_fails_to_read_is_input_error(self, capsys, monkeypatch):
+        class Failing(io.RawIOBase):
+            def readable(self):
+                return True
+
+            def readinto(self, buffer):
+                raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BufferedReader(Failing())))
+        assert run_cli(capsys, "test", "-i", "-") == (
+            EXIT_INPUT, "", "longrun: input error: [Errno 5] Input/output error\n")
+
+    def test_an_error_writing_stdout_is_not_an_input_error(self, small_csv, monkeypatch):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        with pytest.raises(BrokenPipeError):
+            main(["test", "-i", small_csv])
 
     def test_bom_file(self, tmp_path, capsys):
         path = tmp_path / "bom.csv"
