@@ -581,7 +581,7 @@ class TestCommands:
         path = {"a_directory": str(Path(small_csv).parent),
                 "under_a_file": os.path.join(small_csv, "x"),
                 "proc_self_mem": "/proc/self/mem"}[where]  # opens, but reading it fails (EIO)
-        if not os.path.exists(path) and where == "proc_self_mem":
+        if where == "proc_self_mem" and not os.path.exists(path):
             pytest.skip("no /proc/self/mem on this platform")
         code, out, err = run_cli(capsys, "test", "-i", path)
         assert (code, out) == (EXIT_INPUT, "")
