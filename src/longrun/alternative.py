@@ -11,8 +11,9 @@ mpf p = a*2^e weighs the smaller u of p and 1 - p by its count j: the sum is
 u^j0 v^(n-j0) T, v = 1 - u, T = sum_j c_j r^(j-j0) >= 1 from the first nonzero
 count j0, r = u/v <= 1 cut to W = dps_to_prec(INTERNAL_DPS + len(str(n)) + 1)
 bits.  Horner sums T at the fixed point 2^-sh, sh = W + bits(n) + 1, cutting toward
-zero, and the powers are rounded down to W bits.  Every term is nonnegative, so the
-relative error is under (n + 3)*2^(1-W), at most 2.7e-52 at any n (README "Engines").
+zero, and ``pow_down`` cuts each power by less than 2^(1-W) of itself.  Every term
+is nonnegative, so the relative error is under (n + 3)*2^(1-W), at most 2.7e-52 at
+any n (README "Engines").
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import dps_to_prec, from_man_exp, mpf_pow_int, round_down
+from mpmath.libmp import dps_to_prec
 
 from .conditional_counts import snk_dp
 from .exact_null import engine_cache, rejection_region
@@ -129,9 +130,29 @@ def mixture(counts: tuple[int, ...] | list[int], p: Prob) -> Prob:
     s = 0  # the sum so far is s 2^-sh
     for c in counts[:n + 1 - j0]:
         s = (s * rho >> shift) + (c << sh)  # cut toward zero
-    _, pu, eu, _ = mpf_pow_int(from_man_exp(um, ue), j0, bits, round_down)
-    _, pv, ev, _ = mpf_pow_int(from_man_exp(vm, ve), n - j0, bits, round_down)
+    pu, eu = pow_down(um, ue, j0, bits)
+    pv, ev = pow_down(vm, ve, n - j0, bits)
     return mpmath.ldexp(s * pu * pv, eu + ev - sh)  # ldexp is exact
+
+
+def pow_down(m: int, e: int, k: int, bits: int) -> tuple[int, int]:
+    """(m 2^e)^k for m > 0 as (man, exp), cut toward zero by less than 2^(1-bits) of itself.
+
+    Binary powering from the top bit of k, each product cut toward zero to
+    P = bits + bits(k) + 1 bits.  A cut loses under 2^(1-P) of a value, and a
+    squaring at most doubles what the power has lost so far, so x^k loses at
+    most (2k - 1) 2^(1-P) < 2^(1-bits).
+    """
+    prec, pm, cuts = bits + k.bit_length() + 1, 1, 0
+    for bit in bin(k)[2:]:
+        pm *= pm
+        cuts += cuts
+        if bit == "1":
+            pm *= m
+        if (cut := pm.bit_length() - prec) > 0:
+            pm >>= cut
+            cuts += cut
+    return pm, cuts + k * e
 
 
 def counts_at_most(n: int, x: int) -> tuple[int, ...]:

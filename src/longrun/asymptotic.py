@@ -62,6 +62,8 @@ def convergence_report(k: int, p, n_grid: list[int]) -> ConvergenceReport:
     cancellation.  Requires p != 1/2.  For p < 1/2 the dominant sign is
     the zeros: by the flip symmetry the counts are read by number of zeros.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     p = as_prob(p)
     if 2 * p == 1:
         raise ValueError("p must differ from 1/2")

@@ -361,8 +361,7 @@ def _cmd_converge(args) -> dict:
 
     from .asymptotic import convergence_report
 
-    grid = [int(v) for v in args.n_grid.split(",")]
-    report = convergence_report(args.k, args.p, grid)
+    report = convergence_report(args.k, args.p, args.n_grid)
     rows = [
         {"n": n, "diff": mpmath.nstr(d, args.precision)} for n, d in report.entries
     ]
@@ -397,6 +396,14 @@ def significant_digits(text: str) -> int:
     if not 1 <= (digits := int(text)) <= MAX_PRECISION:
         raise argparse.ArgumentTypeError(f"invalid value {text!r}: 1 to {MAX_PRECISION} digits")
     return digits
+
+
+def n_grid(text: str) -> list[int]:
+    """A --n-grid value: comma-separated ints, else a configuration error."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: comma-separated integers") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -476,7 +483,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     if p := command("converge", _cmd_converge, with_csv, "two-sided vs one-sided CDF gap"):
         p.add_argument("--p", type=str, required=True)
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--n-grid", type=str, required=True, help="comma-separated n values")
+        p.add_argument("--n-grid", type=n_grid, required=True, help="comma-separated n values")
 
     if p := command("oracle", _cmd_oracle, with_csv, "brute-force joint count dump", False):
         p.add_argument("--n", type=int, required=True)

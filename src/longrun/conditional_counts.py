@@ -35,37 +35,37 @@ def bounded_runs(n: int, x1: int, x0: int, pack: int = 0) -> int:
     A string with k ones counts 2^(pack*k): with pack > n the counts by k
     are the base-2^pack digits of the result, as C(n, k) < 2^pack.  This is
     the Markov chain imbedding of Fu & Koutras (JASA 1994) on run ends, with
-    the sliding window of Schilling (College Math. J. 1990).  With t = 2^pack,
-    the strings of length m ending in a one number
-    ones(m) = t (lead1(m-1) + ones(m-1)) - t^(x1+1) lead1(m-1-x1), where lead1
-    counts those a run of ones may follow (the empty string, or one ending in
-    a zero); zeros likewise with weight 1.
+    the sliding window of Schilling (College Math. J. 1990).  With t = 2^pack
+    and total(m) the weighted count of the strings of length m, total(0) = 1,
+    those ending in a one number ones(m) = t total(m-1) - t^(x1+1) zeros(m-1-x1),
+    as a run of ones follows a string ending in a zero or the empty string, for
+    which the window reads zeros(0) = 1; zeros(m) = total(m-1) - ones(m-1-x0)
+    likewise with weight 1, and total(m) = ones(m) + zeros(m).
     """
     if n < 0 or x1 < 0 or x0 < 0:
         raise ValueError("n, x1 and x0 must be >= 0")
-    # lead(m-1-x) .. lead(m-1) for the term that leaves the window; none where x >= n
+    # zeros(m-1-x1) .. zeros(m-1) and ones(m-1-x0) .. ones(m-1); none where x >= n
     window1, window0 = (
         deque([0] * x + [1], maxlen=x + 1) if x < n else deque(maxlen=0) for x in (x1, x0)
     )
-    ones = zeros = 0
-    lead1 = lead0 = 1  # the empty string
+    drop, total = pack * (x1 + 1), 1
     for _ in range(n):
-        ones, zeros = (lead1 + ones) << pack, lead0 + zeros
+        ones, zeros = total << pack, total
         if window1:
-            ones -= window1[0] << pack * (x1 + 1)
+            ones -= window1[0] << drop
         if window0:
             zeros -= window0[0]
-        lead1, lead0 = zeros, ones
-        window1.append(lead1)
-        window0.append(lead0)
-    return ones + zeros if n else 1
+        total = ones + zeros
+        window1.append(zeros)
+        window0.append(ones)
+    return total
 
 
 def counts_by_ones(n: int, x1: int, x0: int) -> tuple[int, ...]:
     """``bounded_runs`` split by number of ones k = 0..n."""
-    width = n + 1
-    bits = format(bounded_runs(n, x1, x0, pack=width), f"0{width * width}b")
-    return tuple(int(bits[i : i + width], 2) for i in range(len(bits) - width, -1, -width))
+    width = n // 8 + 1  # bytes a digit: 2^(8 width) > 2^n >= C(n, k)
+    data = bounded_runs(n, x1, x0, pack=8 * width).to_bytes(width * (n + 1), "little")
+    return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
 
 
 def _validate(n: int, x: int) -> None:

@@ -5,6 +5,7 @@ from math import comb
 
 import mpmath
 import pytest
+from mpmath.libmp import dps_to_prec
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from longrun import (
     power,
 )
 from longrun import alternative, exact_null
-from longrun.alternative import TAIL_BITS, counts_at_most, mixture, rejected_counts
+from longrun.alternative import TAIL_BITS, counts_at_most, mixture, pow_down, rejected_counts
 from longrun.conditional_counts import snk_dp
 from longrun.exact_null import rejection_region
 
@@ -374,6 +375,33 @@ class TestMixture:
         got = power(60, F(1, 20), "unilateral", "paper", spec).power
         with mpmath.workdps(60):
             assert 0 <= 1 - got <= mpmath.mpf("1e-50")
+
+
+W = dps_to_prec(alternative.INTERNAL_DPS + len("250") + 1)  # the mixture's bits at n = 250
+
+
+class TestPowDown:
+    """The mixture's powers: never above the exact power, and short by less than 2^(1-W)."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 250, 2**16 + 1, 10**6])
+    @pytest.mark.parametrize("e", [0, -1, -W, -2 * W])
+    @pytest.mark.parametrize("b, c", [(W - 1, 0), (W, 1), (3 * W, 1)])
+    def test_against_exact_powers(self, k, e, b, c):
+        # m = 2^b - c, so (m 2^e)^k = 2^(k (b + e)) (1 - c 2^-b)^k; the binomial sums to the
+        # 2nd and 3rd powers of c 2^-b bound (1 - c 2^-b)^k, as its terms alternate and fall
+        pm, pe = pow_down((1 << b) - c, e, k, W)
+        got = pm * F(2) ** (pe - k * (b + e))
+        eps = F(c, 1 << b)
+        above = 1 - k * eps + comb(k, 2) * eps**2
+        below = above - comb(k, 3) * eps**3
+        assert got <= below and above - got < below * F(2) ** (1 - W)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 2 ** (3 * W)), e=st.integers(-2 * W, 0), k=st.integers(0, 300))
+    def test_against_fraction_powers(self, m, e, k):
+        pm, pe = pow_down(m, e, k, W)
+        got, want = pm * F(2) ** pe, (m * F(2) ** e) ** k
+        assert got <= want and want - got < want * F(2) ** (1 - W)
 
 
 class TestRatioHorner:

@@ -93,6 +93,10 @@ class TestConvergenceReport:
         with pytest.raises(ValueError):
             convergence_report(3, p, [8, 16])
 
+    def test_rejects_negative_k(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            convergence_report(-1, "0.7", [4])
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             convergence_report(3, "0.7", [])

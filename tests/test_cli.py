@@ -565,6 +565,22 @@ class TestCommands:
         assert (code, out) == (EXIT_CONFIG, "")
         assert "between 0 and 1" in err
 
+    def test_converge_negative_k_is_config_error(self, capsys):
+        # named the counts' internal x
+        code, out, err = run_cli(capsys, "converge", "--p", "0.7", "--k", "-1", "--n-grid", "4")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "longrun: error: k must be >= 0\n"
+
+    @pytest.mark.parametrize("grid", [",", "4,x", ""])
+    def test_converge_bad_n_grid_is_config_error(self, grid, capsys):
+        # printed int()'s "invalid literal for int() with base 10"
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--p", "0.7", "--k", "2", "--n-grid", grid])
+        assert exc.value.code == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and f"argument --n-grid: invalid value {grid!r}" in out.err
+        assert "invalid literal" not in out.err
+
     def test_oracle_json(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "2")
         d = json.loads(out)

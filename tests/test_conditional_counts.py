@@ -87,13 +87,19 @@ class TestBoundedRuns:
         x1=st.integers(0, 16),
         x0=st.integers(0, 16),
     )
+    # a digit is n // 8 + 1 bytes: one at n = 7, two at n = 8
+    @example(n=7, x1=2, x0=3)
+    @example(n=7, x1=7, x0=1)
+    @example(n=8, x1=3, x0=2)
+    @example(n=8, x1=1, x0=8)
     def test_against_enumeration(self, n, x1, x0):
         by_k = enumerate_bounded_runs(n, x1, x0)
         assert bounded_runs(n, x1, x0) == sum(by_k)
         assert counts_by_ones(n, x1, x0) == by_k
 
-    @pytest.mark.parametrize("n", [64, 200, 400])
+    @pytest.mark.parametrize("n", [7, 8, 15, 16, 64, 200, 255, 256, 400])
     def test_packing_width_holds_binomials(self, n):
+        # C(n, n/2) is the widest count; a digit of n // 8 + 1 bytes widens at each multiple of 8
         binomials = tuple(comb(n, k) for k in range(n + 1))
         assert snk_dp(n, n).counts == binomials
         assert plus_run_counts(n, n).counts == binomials
