@@ -11,9 +11,9 @@ mpf p = a*2^e weighs the smaller u of p and 1 - p by its count j: the sum is
 u^j0 v^(n-j0) T, v = 1 - u, T = sum_j c_j r^(j-j0) >= 1 from the first nonzero
 count j0, r = u/v <= 1 cut to W = dps_to_prec(INTERNAL_DPS + len(str(n)) + 1)
 bits.  Horner sums T at the fixed point 2^-sh, sh = W + bits(n) + 1, cutting toward
-zero, and ``pow_down`` cuts each power by less than 2^(1-W) of itself.  Every term
-is nonnegative, so the relative error is under (n + 3)*2^(1-W), at most 2.7e-52 at
-any n (README "Engines").
+zero, from the c_j 2^sh that ``horner_operands`` makes without p, and ``pow_down``
+cuts each power by less than 2^(1-W) of itself.  Every term is nonnegative, so the
+relative error is under (n + 3)*2^(1-W), at most 2.7e-52 at any n (README "Engines").
 """
 
 from __future__ import annotations
@@ -98,7 +98,10 @@ def p_from_gaussian_shift(c: float, sigma: float) -> mpmath.mpf:
 
 def as_prob(p: Prob | float | str) -> Prob:
     """p as a Fraction or an mpf in (0, 1); a str or float is read as an exact rational."""
-    p = p if isinstance(p, mpmath.mpf) else Fraction(p)
+    try:
+        p = p if isinstance(p, mpmath.mpf) else Fraction(p)
+    except ZeroDivisionError:
+        raise ValueError(f"p = {p} has a zero denominator") from None
     if not 0 < p < 1:
         raise ValueError("p must lie strictly between 0 and 1")
     return p
@@ -106,6 +109,11 @@ def as_prob(p: Prob | float | str) -> Prob:
 
 def mixture(counts: tuple[int, ...] | list[int], p: Prob) -> Prob:
     """sum_k counts[k] p^k (1-p)^(n-k) over k = 0..n (see the module docstring)."""
+    return _mixture(counts, p, {})
+
+
+def _mixture(counts: tuple[int, ...] | list[int], p: Prob, operands: dict) -> Prob:
+    """``mixture``; an mpf p keeps ``horner_operands(counts, u_is_p)`` in ``operands``."""
     n = len(counts) - 1
     if isinstance(p, Fraction):
         a, b = p.numerator, p.denominator
@@ -116,23 +124,33 @@ def mixture(counts: tuple[int, ...] | list[int], p: Prob) -> Prob:
                 acc += c * ak
             ak *= a
         return Fraction(acc, b**n)
-    (_, a, e, _), bits = p._mpf_, dps_to_prec(INTERNAL_DPS + len(str(n)) + 1)
+    _, a, e, _ = p._mpf_
+    if (u_is_p := a.bit_length() + e < 0) not in operands:  # p < 1/2: u = p, else u = 1 - p
+        operands[u_is_p] = horner_operands(counts, u_is_p)
+    bits, sh, j0, shifted = operands[u_is_p]
+    if not shifted:
+        return mpmath.mpf(0)
     t = min(-e, 2 * bits + a.bit_length())
     q = (1 << t) + (-a >> -e - t)  # (1 - p) 2^t, cut toward zero; exact unless p is tiny
-    if a.bit_length() + e < 0:  # p < 1/2: u = p, Horner from j = k = n down
-        (um, ue), (vm, ve), counts = (a, e), (q, -t), counts[::-1]
-    else:  # u = 1 - p, j = n - k: Horner from k = 0 up
-        (um, ue), (vm, ve) = (q, -t), (a, e)
-    if (j0 := next((j for j, c in enumerate(reversed(counts)) if c), None)) is None:
-        return mpmath.mpf(0)
+    (um, ue), (vm, ve) = ((a, e), (q, -t)) if u_is_p else ((q, -t), (a, e))
     lift = bits + vm.bit_length() - um.bit_length()  # r = rho 2^-shift, rho >= 2^(W-1)
-    rho, shift, sh = (um << lift) // vm, lift + ve - ue, bits + n.bit_length() + 1
+    rho, shift = (um << lift) // vm, lift + ve - ue
     s = 0  # the sum so far is s 2^-sh
-    for c in counts[:n + 1 - j0]:
-        s = (s * rho >> shift) + (c << sh)  # cut toward zero
+    for c in shifted:
+        s = (s * rho >> shift) + c  # cut toward zero
     pu, eu = pow_down(um, ue, j0, bits)
     pv, ev = pow_down(vm, ve, n - j0, bits)
     return mpmath.ldexp(s * pu * pv, eu + ev - sh)  # ldexp is exact
+
+
+def horner_operands(counts: tuple[int, ...] | list[int], u_is_p: bool) -> tuple:
+    """The mpf mixture's operands for u = p (else u = 1 - p), which do not depend on p:
+    W, sh, the first nonzero count j0 (n + 1 if none) and c_j << sh for j = n down to j0."""
+    n = len(counts) - 1
+    bits = dps_to_prec(INTERNAL_DPS + len(str(n)) + 1)
+    ordered, sh = counts[::-1] if u_is_p else counts, bits + n.bit_length() + 1  # [i]: j = n - i
+    j0 = next((j for j, c in enumerate(reversed(ordered)) if c), n + 1)
+    return bits, sh, j0, tuple(c << sh for c in ordered[:n + 1 - j0])
 
 
 def pow_down(m: int, e: int, k: int, bits: int) -> tuple[int, int]:
@@ -171,12 +189,14 @@ def alt_cdf(n: int, x: int, spec: AlternativeSpec) -> Prob:
 
 @engine_cache
 def rejected_counts(n: int, alpha: Fraction, tail: str, convention: str) -> tuple:
-    """(region, counts by k of the rejected strings): C(n, k) - S(c_upper) + S(c_lower - 1)."""
+    """(region, counts by k of the rejected strings, str(region), their ``horner_operands``
+    by orientation, each made on first use): C(n, k) - S(c_upper) + S(c_lower - 1)."""
     region = rejection_region(n, alpha, tail, convention)
     every = accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)  # C(n, k)
     kept = counts_at_most(n, region.upper.c)
     low = counts_at_most(n, region.lower.c - 1 if region.lower else 0)
-    return region, tuple(all_k - kept_k + low_k for all_k, kept_k, low_k in zip(every, kept, low))
+    rejected = tuple(all_k - kept_k + low_k for all_k, kept_k, low_k in zip(every, kept, low))
+    return region, rejected, str(region), {}
 
 
 def power(n: int, alpha: Fraction | float | str, tail: str, convention: str,
@@ -186,8 +206,8 @@ def power(n: int, alpha: Fraction | float | str, tail: str, convention: str,
     An mpf power carries INTERNAL_DPS digits whatever the caller's precision.
     """
     alpha = Fraction(alpha)
-    region, rejected = rejected_counts(n, alpha, tail, convention)
-    return PowerResult(n, alpha, tail, convention, spec, mixture(rejected, spec.p), str(region))
+    _, rejected, label, ops = rejected_counts(n, alpha, tail, convention)
+    return PowerResult(n, alpha, tail, convention, spec, _mixture(rejected, spec.p, ops), label)
 
 
 def attained_size(n: int, alpha: Fraction | float | str, tail: str, convention: str) -> Fraction:

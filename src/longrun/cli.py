@@ -398,6 +398,15 @@ def significant_digits(text: str) -> int:
     return digits
 
 
+def alpha_level(text: str) -> Fraction:
+    """An --alpha value: a fraction a/b with b != 0 or a decimal, else a configuration error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: a fraction a/b with b != 0, or a decimal") from None
+
+
 def n_grid(text: str) -> list[int]:
     """A --n-grid value: comma-separated ints, else a configuration error."""
     try:
@@ -444,7 +453,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
     if p := command("test", _cmd_test, with_text, "run the lack-of-fit test on a CSV"):
         p.add_argument("--input", "-i", required=True, help="CSV path, or - for stdin")
-        p.add_argument("--alpha", type=Fraction, default=Fraction(1, 20))
+        p.add_argument("--alpha", type=alpha_level, default=Fraction(1, 20))
         p.add_argument("--tail", choices=TAILS, default="unilateral")
         p.add_argument("--convention", choices=CONVENTIONS, default="paper")
         p.add_argument(
@@ -461,13 +470,13 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
     if p := command("critical", _cmd_critical, with_text, "critical value at a level"):
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--alpha", type=Fraction, required=True)
+        p.add_argument("--alpha", type=alpha_level, required=True)
         p.add_argument("--conservative", dest="convention", action="store_const",
                        const="conservative", default="paper")
 
     if p := command("power", _cmd_power, with_text, "exact power under a shift alternative"):
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--alpha", type=Fraction, required=True)
+        p.add_argument("--alpha", type=alpha_level, required=True)
         alt = p.add_mutually_exclusive_group(required=True)
         alt.add_argument("--p", type=str, help="Pr(residual > 0) directly")
         alt.add_argument("--shift", type=float, help="constant shift c, with --sigma")

@@ -44,20 +44,21 @@ def bounded_runs(n: int, x1: int, x0: int, pack: int = 0) -> int:
     """
     if n < 0 or x1 < 0 or x0 < 0:
         raise ValueError("n, x1 and x0 must be >= 0")
-    # zeros(m-1-x1) .. zeros(m-1) and ones(m-1-x0) .. ones(m-1); none where x >= n
-    window1, window0 = (
-        deque([0] * x + [1], maxlen=x + 1) if x < n else deque(maxlen=0) for x in (x1, x0)
-    )
+    # zeros(m-1-x1) .. and ones(m-1-x0) ..: each is read once, x + 1 steps after it is
+    # made, so only those of length m < n - x are kept; none where x >= n
+    window1, window0 = (deque([0] * x + [1]) if x < n else deque() for x in (x1, x0))
     drop, total = pack * (x1 + 1), 1
-    for _ in range(n):
+    for m in range(1, n + 1):
         ones, zeros = total << pack, total
         if window1:
-            ones -= window1[0] << drop
+            ones -= window1.popleft() << drop
         if window0:
-            zeros -= window0[0]
+            zeros -= window0.popleft()
         total = ones + zeros
-        window1.append(zeros)
-        window0.append(ones)
+        if m < n - x1:
+            window1.append(zeros)
+        if m < n - x0:
+            window0.append(ones)
     return total
 
 

@@ -469,6 +469,55 @@ class TestRatioHorner:
                     assert got.critical_region == str(region)
 
 
+class TestRegionOperands:
+    """A power reads its region's Horner operands, made once per orientation and kept."""
+
+    SHIFTS = (0.3, -0.3, 2.0, -2.0)  # p on both sides of 1/2
+
+    @pytest.mark.parametrize(
+        "n, alpha",
+        [(n, F(1, 20)) for n in (1, 2, 60, 250)]
+        # small regions can reject nothing: every count is 0, j0 = n + 1
+        + [(n, alpha) for n in range(1, 9) for alpha in (F(1, 3), F(1, 1000))],
+    )
+    def test_power_is_the_mixture_bit_for_bit(self, n, alpha):
+        for tail in TAILS:
+            for convention in CONVENTIONS:
+                rejected = rejected_counts(n, alpha, tail, convention)[1]
+                for _ in range(2):  # the operands made, then read
+                    for shift in self.SHIFTS:
+                        spec = AlternativeSpec.gaussian_shift(shift, 1.0)
+                        got = power(n, alpha, tail, convention, spec).power
+                        assert got._mpf_ == mixture(rejected, spec.p)._mpf_, (tail, convention)
+
+    @pytest.mark.parametrize("shape", ["first", "last", "zeros", "inside"])
+    def test_kept_operands_give_the_mixture_bit_for_bit(self, shape):
+        counts = [0, 0, 0, 5, 0, 9, 2, 0, 0] if shape == "inside" else shaped_counts(40, shape, 3)
+        operands = {}
+        for _ in range(2):
+            for shift in self.SHIFTS:
+                p = p_from_gaussian_shift(shift, 1.0)
+                got = alternative._mixture(counts, p, operands)
+                assert got._mpf_ == mixture(counts, p)._mpf_
+        assert sorted(operands) == [False, True]
+
+    def test_a_warm_curve_makes_each_orientation_once_per_region(self, monkeypatch):
+        calls, made = [], alternative.horner_operands
+
+        def counted(counts, u_is_p):
+            calls.append((len(counts) - 1, u_is_p))
+            return made(counts, u_is_p)
+
+        monkeypatch.setattr(alternative, "horner_operands", counted)
+        rejected_counts.cache_clear()
+        specs = [AlternativeSpec.gaussian_shift(c, 1.0) for c in (-0.8, -0.3, 0.05, 0.3, 2.0)]
+        for _ in range(3):
+            for n in (60, 120):
+                for spec in (*specs, AlternativeSpec.direct("3/10")):  # a Fraction p needs none
+                    power(n, F(1, 20), "bilateral", "paper", spec)
+        assert sorted(calls) == [(60, False), (60, True), (120, False), (120, True)]
+
+
 class TestOnePassPower:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 80), p=rational_p, alpha=alphas, convention=st.sampled_from(CONVENTIONS))

@@ -581,6 +581,28 @@ class TestCommands:
         assert out.out == "" and f"argument --n-grid: invalid value {grid!r}" in out.err
         assert "invalid literal" not in out.err
 
+    # each ended in a ZeroDivisionError traceback with exit 1, the code of --fail-on-reject
+    @pytest.mark.parametrize("command", ["test", "critical", "power"])
+    def test_alpha_with_a_zero_denominator_is_config_error(self, command, capsys):
+        args = {"test": ["-i", "-"], "critical": ["--n", "10"],
+                "power": ["--n", "10", "--p", "1/3"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--alpha", "1/0"])
+        assert exc.value.code == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        assert out.err.endswith("error: argument --alpha: invalid value '1/0': "
+                                "a fraction a/b with b != 0, or a decimal\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["power", "--n", "10", "--alpha", "1/20", "--p", "1/0"],
+        ["converge", "--p", "1/0", "--k", "3", "--n-grid", "8,16"],
+    ])
+    def test_p_with_a_zero_denominator_is_config_error(self, argv, capsys):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "longrun: error: p = 1/0 has a zero denominator\n"
+
     def test_oracle_json(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "2")
         d = json.loads(out)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import pytest
@@ -92,6 +93,11 @@ class TestBoundedRuns:
     @example(n=7, x1=7, x0=1)
     @example(n=8, x1=3, x0=2)
     @example(n=8, x1=1, x0=8)
+    # a bound of n/2 or more: its window keeps a few of the values it makes, or none
+    @example(n=13, x1=12, x0=12)
+    @example(n=13, x1=7, x0=7)
+    @example(n=14, x1=7, x0=13)
+    @example(n=12, x1=11, x0=2)
     def test_against_enumeration(self, n, x1, x0):
         by_k = enumerate_bounded_runs(n, x1, x0)
         assert bounded_runs(n, x1, x0) == sum(by_k)
@@ -103,6 +109,17 @@ class TestBoundedRuns:
         binomials = tuple(comb(n, k) for k in range(n + 1))
         assert snk_dp(n, n).counts == binomials
         assert plus_run_counts(n, n).counts == binomials
+
+    def test_window_keeps_only_the_values_read(self):
+        # every value stayed x + 1 steps, each up to about m (n + 1) bits: a 135 MB peak here
+        tracemalloc.start()
+        try:
+            table = snk_dp.__wrapped__(1000, 999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert table.counts == (0, *(comb(1000, k) for k in range(1, 1000)), 0)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
