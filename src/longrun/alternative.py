@@ -205,7 +205,7 @@ def power(n: int, alpha: Fraction | float | str, tail: str, convention: str,
 
     An mpf power carries INTERNAL_DPS digits whatever the caller's precision.
     """
-    alpha = Fraction(alpha)
+    alpha = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
     _, rejected, label, ops = rejected_counts(n, alpha, tail, convention)
     return PowerResult(n, alpha, tail, convention, spec, _mixture(rejected, spec.p, ops), label)
 

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from contextlib import nullcontext
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, DivisionByZero,
@@ -250,6 +251,11 @@ def _emit_csv(rows: list[dict]) -> str:
 _RENDER = {"json": _emit_json, "csv": _emit_csv, "text": str}
 
 
+def _dump(rows: list[dict], **fields) -> dict:
+    """A row dump's outputs: the rows as CSV, and as JSON with the schema and ``fields``."""
+    return {"json": {"schema": SCHEMA_VERSION, **fields, "rows": rows}, "csv": rows}
+
+
 # ------------------------------------------------------------------ #
 # Subcommand handlers: each returns {format: output} for the formats it offers
 # ------------------------------------------------------------------ #
@@ -308,11 +314,7 @@ def _cmd_table(args) -> dict:
         f"{'k':>4} {'pmf':>14} {'cdf':>14}\n",
     ]
     text += [f"{r['k']:>4} {r['pmf']:>14} {r['cdf']:>14}\n" for r in rows]
-    return {
-        "json": {"schema": SCHEMA_VERSION, "n": args.n, "rows": rows},
-        "csv": rows,
-        "text": "".join(text),
-    }
+    return {**_dump(rows, n=args.n), "text": "".join(text)}
 
 
 def _cmd_critical(args) -> dict:
@@ -327,6 +329,8 @@ def _cmd_critical(args) -> dict:
 
 
 def _cmd_power(args) -> dict:
+    if (args.shift is None) != (args.sigma is None):
+        raise ValueError("--shift and --sigma go together")
     from .alternative import AlternativeSpec, power
 
     if args.p is not None:
@@ -350,10 +354,7 @@ def _cmd_snk(args) -> dict:
 
     table = snk_dp(args.n, args.x)
     rows = [{"k": k, "count": table.counts[k]} for k in range(args.n + 1)]
-    return {
-        "json": {"schema": SCHEMA_VERSION, "n": args.n, "x": args.x, "rows": rows},
-        "csv": rows,
-    }
+    return _dump(rows, n=args.n, x=args.x)
 
 
 def _cmd_converge(args) -> dict:
@@ -362,28 +363,16 @@ def _cmd_converge(args) -> dict:
     from .asymptotic import convergence_report
 
     report = convergence_report(args.k, args.p, args.n_grid)
-    rows = [
-        {"n": n, "diff": mpmath.nstr(d, args.precision)} for n, d in report.entries
-    ]
-    out = {
-        "schema": SCHEMA_VERSION,
-        "k": args.k,
-        "p": str(args.p),
-        "rows": rows,
-        "monotone_decreasing": report.monotone_decreasing,
-    }
-    return {"json": out, "csv": rows}
+    rows = [{"n": n, "diff": mpmath.nstr(d, args.precision)} for n, d in report.entries]
+    return _dump(rows, k=args.k, p=str(args.p), monotone_decreasing=report.monotone_decreasing)
 
 
 def _cmd_oracle(args) -> dict:
     from .brute_oracle import enumerate_joint
 
     table = enumerate_joint(args.n)
-    rows = [
-        {"k": k, "l": l, "count": c}
-        for (k, l), c in sorted(table.counts.items())
-    ]
-    return {"json": {"schema": SCHEMA_VERSION, "n": args.n, "rows": rows}, "csv": rows}
+    rows = [{"k": k, "l": l, "count": c} for (k, l), c in sorted(table.counts.items())]
+    return _dump(rows, n=args.n)
 
 
 # ------------------------------------------------------------------ #
@@ -416,13 +405,62 @@ def n_grid(text: str) -> list[int]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a minus sign and a decimal, with an exponent or not, is a value: -2e-1 too, which
+        # argparse before Python 3.13 reads as a flag
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(EXIT_CONFIG)
 
 
-COMMANDS = ("test", "table", "critical", "power", "snk", "converge", "oracle")
+def flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """A flag's names and its ``add_argument`` keywords."""
+    return names, kwargs
+
+
+N = flag("--n", type=int, required=True)
+ALPHA = flag("--alpha", type=alpha_level, required=True)
+TAIL = flag("--tail", choices=TAILS, default="unilateral")
+CONSERVATIVE = flag("--conservative", dest="convention", action="store_const",
+                    const="conservative", default="paper")
+WITH_TEXT, WITH_CSV = ("json", "text"), ("json", "csv")
+
+# Each subcommand, in help order: (handler, formats, help, whether --precision applies,
+# flags); a list among the flags is a group of which exactly one must be given.
+SUBCOMMANDS = {
+    "test": (_cmd_test, WITH_TEXT, "run the lack-of-fit test on a CSV", True, (
+        flag("--input", "-i", required=True, help="CSV path, or - for stdin"),
+        (ALPHA[0], ALPHA[1] | {"required": False, "default": Fraction(1, 20)}),
+        TAIL,
+        flag("--convention", choices=CONVENTIONS, default="paper"),
+        flag("--zero-policy", choices=ZERO_POLICIES, default="error",
+             help="what to do with exactly-zero residuals (default error)"),
+        flag("--fail-on-reject", action="store_true",
+             help="exit with code 1 when the test rejects"),
+    )),
+    "table": (_cmd_table, ("json", "csv", "text"), "null pmf/cdf table", True, (N,)),
+    "critical": (_cmd_critical, WITH_TEXT, "critical value at a level", True,
+                 (N, ALPHA, CONSERVATIVE)),
+    "power": (_cmd_power, WITH_TEXT, "exact power under a shift alternative", True, (
+        N, ALPHA,
+        [flag("--p", help="Pr(residual > 0) directly"),
+         flag("--shift", type=float, help="constant shift c, with --sigma")],
+        flag("--sigma", type=float, help="Gaussian error scale, with --shift only"),
+        TAIL, CONSERVATIVE,
+    )),
+    "snk": (_cmd_snk, WITH_CSV, "bounded-run counts by number of ones", False,
+            (N, flag("--x", type=int, required=True))),
+    "converge": (_cmd_converge, WITH_CSV, "two-sided vs one-sided CDF gap", True, (
+        flag("--p", required=True), flag("--k", type=int, required=True),
+        flag("--n-grid", type=n_grid, required=True, help="comma-separated n values"),
+    )),
+    "oracle": (_cmd_oracle, WITH_CSV, "brute-force joint count dump", False, (N,)),
+}
+COMMANDS = tuple(SUBCOMMANDS)
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -432,71 +470,24 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     if only is None:
         parser.add_argument("--version", action="version", version=__version__)
         sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, formats, help, decimals=True):
+    for name, (func, formats, summary, decimals, flags) in SUBCOMMANDS.items():
         if only not in (None, name):
-            return None
-        p = sub.add_parser(name, help=help) if only is None else parser
-        p.add_argument(
-            "--format", choices=formats, default="json",
-            help="output format (default json)",
-        )
+            continue
+        p = sub.add_parser(name, help=summary) if only is None else parser
+        p.add_argument("--format", choices=formats, default="json",
+                       help="output format (default json)")
         if decimals:
-            p.add_argument(
-                "--precision", type=significant_digits, default=6,
-                help=f"significant digits of a decimal (default 6, at most {MAX_PRECISION})",
-            )
+            p.add_argument("--precision", type=significant_digits, default=6,
+                           help=f"significant digits of a decimal (default 6, at most "
+                           f"{MAX_PRECISION})")
+        for entry in flags:
+            if isinstance(entry, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for names, kwargs in entry:
+                    group.add_argument(*names, **kwargs)
+            else:
+                p.add_argument(*entry[0], **entry[1])
         p.set_defaults(func=func, command=name)
-        return p
-
-    with_text, with_csv = ("json", "text"), ("json", "csv")
-
-    if p := command("test", _cmd_test, with_text, "run the lack-of-fit test on a CSV"):
-        p.add_argument("--input", "-i", required=True, help="CSV path, or - for stdin")
-        p.add_argument("--alpha", type=alpha_level, default=Fraction(1, 20))
-        p.add_argument("--tail", choices=TAILS, default="unilateral")
-        p.add_argument("--convention", choices=CONVENTIONS, default="paper")
-        p.add_argument(
-            "--zero-policy", choices=ZERO_POLICIES, default="error",
-            help="what to do with exactly-zero residuals (default error)",
-        )
-        p.add_argument(
-            "--fail-on-reject", action="store_true",
-            help="exit with code 1 when the test rejects",
-        )
-
-    if p := command("table", _cmd_table, ("json", "csv", "text"), "null pmf/cdf table"):
-        p.add_argument("--n", type=int, required=True)
-
-    if p := command("critical", _cmd_critical, with_text, "critical value at a level"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--alpha", type=alpha_level, required=True)
-        p.add_argument("--conservative", dest="convention", action="store_const",
-                       const="conservative", default="paper")
-
-    if p := command("power", _cmd_power, with_text, "exact power under a shift alternative"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--alpha", type=alpha_level, required=True)
-        alt = p.add_mutually_exclusive_group(required=True)
-        alt.add_argument("--p", type=str, help="Pr(residual > 0) directly")
-        alt.add_argument("--shift", type=float, help="constant shift c, with --sigma")
-        p.add_argument("--sigma", type=float, help="Gaussian error scale, with --shift only")
-        p.add_argument("--tail", choices=TAILS, default="unilateral")
-        p.add_argument("--conservative", dest="convention", action="store_const",
-                       const="conservative", default="paper")
-
-    if p := command("snk", _cmd_snk, with_csv, "bounded-run counts by number of ones", False):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--x", type=int, required=True)
-
-    if p := command("converge", _cmd_converge, with_csv, "two-sided vs one-sided CDF gap"):
-        p.add_argument("--p", type=str, required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--n-grid", type=n_grid, required=True, help="comma-separated n values")
-
-    if p := command("oracle", _cmd_oracle, with_csv, "brute-force joint count dump", False):
-        p.add_argument("--n", type=int, required=True)
-
     return parser
 
 
@@ -511,8 +502,6 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
-    if args.command == "power" and (args.shift is None) != (args.sigma is None):
-        build_parser().error("--shift and --sigma go together")
     # Exact integers pass Python's int/str digit limit (3.11+ and backports) at
     # about n = 14,300, sooner for a long --p.  Lift it for the command only:
     # the flags argparse converts (--alpha, --n, ...) were read under it.

@@ -267,6 +267,14 @@ class TestPower:
                     attained_size(97, F(1, 3), tail, convention)
         assert null_table_by_counting.cache_info().misses == 0
 
+    def test_a_fraction_alpha_is_kept_as_given(self):
+        alpha, spec = F(1, 20), AlternativeSpec.gaussian_shift(0.3, 1.0)
+        assert power(60, alpha, "unilateral", "paper", spec).alpha is alpha
+        for given in ("1/20", "0.05", 0.05):  # converted as before: the float is not 1/20
+            got = power(60, given, "unilateral", "paper", spec)
+            assert got == power(60, F(given), "unilateral", "paper", spec)
+            assert type(got.alpha) is F and got.alpha == F(given)
+
     def test_invalid_config(self):
         spec = AlternativeSpec.direct("0.6")
         with pytest.raises(ValueError):

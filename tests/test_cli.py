@@ -540,6 +540,20 @@ class TestCommands:
         assert (code, out) == (EXIT_CONFIG, "")
         assert len(err.splitlines()) == 1 and message in err
 
+    @pytest.mark.parametrize("shift", ["-2e-1", "-1E+0"])
+    def test_a_negative_shift_in_exponent_form_is_a_value(self, capsys, shift):
+        # argparse before Python 3.13 reads "-2e-1" as a flag unless it follows "="
+        argv = ["power", "--n", "50", "--alpha", "1/20", "--sigma", "1"]
+        code, out, err = run_cli(capsys, *argv, "--shift", shift)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == run_cli(capsys, *argv, f"--shift={shift}")[1]
+        assert json.loads(out)["c"] == float(shift)
+
+    def test_a_negative_alpha_in_exponent_form_is_out_of_range(self, capsys):
+        code, out, err = run_cli(capsys, "power", "--n", "5", "--alpha", "-1e-3", "--p", "1/2")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "longrun: error: alpha must lie in (0, 1)\n"
+
     def test_power_config_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["power", "--n", "4", "--alpha", "0.05"])
@@ -775,7 +789,6 @@ class TestFlagsPerSubcommand:
             ["snk", "--n", "4", "--x", "2", "--format", "text"],
             ["table", "--n", "4", "--zero-policy", "drop"],
             ["oracle", "--n", "3", "--precision", "4"],
-            ["power", "--n", "4", "--alpha", "3/8", "--p", "0.7", "--sigma", "2"],
         ],
     )
     def test_unoffered_flag_is_config_error(self, argv, capsys):
@@ -783,6 +796,13 @@ class TestFlagsPerSubcommand:
             main(argv)
         assert exc.value.code == EXIT_CONFIG
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("pair", [["--p", "0.7", "--sigma", "2"], ["--shift", "0.3"]],
+                             ids=["sigma_with_p", "shift_alone"])
+    def test_shift_and_sigma_go_together(self, pair, capsys):
+        code, out, err = run_cli(capsys, "power", "--n", "4", "--alpha", "3/8", *pair)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "longrun: error: --shift and --sigma go together\n"
 
     @pytest.mark.parametrize("command", ["test", "table", "critical", "power", "converge"])
     @pytest.mark.parametrize("precision", ["0", "-2"])
