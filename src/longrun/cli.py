@@ -214,8 +214,8 @@ def run_test(
     seq = signs_from_residuals(series, zero_policy)
     summary = longest_runs(seq)
     n = seq.n
+    region = rejection_region(n, alpha, tail, convention)  # refuses a bad alpha before the table
     pv = p_value(n, summary.l_n, tail)
-    region = rejection_region(n, alpha, tail, convention)
     return TestReport(
         n_effective=n,
         dropped_zeros=len(seq.zero_positions),
@@ -407,9 +407,10 @@ def n_grid(text: str) -> list[int]:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a minus sign and a decimal, with an exponent or not, is a value: -2e-1 too, which
-        # argparse before Python 3.13 reads as a flag
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        # a minus sign and a decimal, with an exponent or not, or inf, infinity or nan in any
+        # case, is a value: -2e-1 and -inf too, which argparse reads as flags
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import compress, count, repeat, starmap
 from math import isnan
-from operator import eq, gt, itemgetter, sub
+from operator import add, eq, gt, itemgetter, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyAfterDrop, EmptySequence, ZeroResidual
@@ -28,19 +28,23 @@ class _ResidualFields(NamedTuple):
 class ResidualSeries(_ResidualFields):
     """Covariate-ordered residuals.
 
-    ``points`` is sorted ascending by covariate; ties keep input order.
-    An empty series raises :class:`EmptySequence`, and a NaN covariate or
-    residual ValueError naming its index in the caller's order.
+    Every build, ``from_residuals``, ``from_raw``, ``_make``, ``_replace`` and
+    unpickling, takes this constructor: its (x, residual) pairs are sorted
+    ascending by covariate, and ties keep input order.  An empty series raises
+    :class:`EmptySequence`, a NaN covariate or residual ValueError naming its
+    index in the caller's order, and a point that is not a pair TypeError.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-    def __new__(cls, points):
-        if len(points) < 1:
+    def __new__(cls, points: Iterable[tuple[float, float]]):
+        points = list(points)
+        if not points:
             raise EmptySequence("residual series is empty")
-        _refuse_nan(*zip(*points))
-        return super().__new__(cls, points)
+        _refuse_nan(points)  # before the sort moves them
+        points.sort(key=itemgetter(0))  # sort is stable: covariate ties keep input order
+        return super().__new__(cls, tuple(points))
 
     @property
     def n(self) -> int:
@@ -52,42 +56,31 @@ class ResidualSeries(_ResidualFields):
 
     @classmethod
     def from_residuals(cls, x: Iterable[float], residuals: Iterable[float]) -> "ResidualSeries":
-        return cls._ordered(list(x), list(residuals))
+        return cls(zip(x, residuals, strict=True))
 
     @classmethod
     def from_raw(cls, x: Iterable[float], y: Iterable[float], fitted: Iterable[float]) -> "ResidualSeries":
-        return cls._ordered(list(x), list(starmap(sub, zip(y, fitted, strict=True))))
-
-    @classmethod
-    def _ordered(cls, x: list, residuals: list) -> "ResidualSeries":
-        pts = list(zip(x, residuals, strict=True))
-        if not pts:
-            raise EmptySequence("residual series is empty")
-        _refuse_nan(x, residuals)  # on the columns, before the sort moves them
-        pts.sort(key=itemgetter(0))  # sort is stable: covariate ties keep input order
-        return super().__new__(cls, tuple(pts))
+        return cls(zip(x, starmap(sub, zip(y, fitted, strict=True)), strict=True))
 
 
-def _refuse_nan(x: Sequence, residuals: Sequence) -> None:
-    """Raise ValueError at the first index where x or residuals holds a NaN.
+def _refuse_nan(points: list) -> None:
+    """Raise ValueError at the first point holding a NaN, TypeError at one not a pair.
 
-    A float sum is NaN when a term is, so a column of floats and ints costs one
-    C-level ``sum``.  A column the sum refuses, or a NaN sum of inf - inf, takes
-    the loop.
+    x + r is NaN when x or r is, and a float sum is NaN when a term is, so pairs of
+    floats and ints cost one C-level pass; ``add`` refuses a point that is not a
+    pair.  What the pass refuses, or a NaN from inf - inf, takes the loop.
     """
-    if _nan_free(x) and _nan_free(residuals):
-        return
-    for i, (xi, ri) in enumerate(zip(x, residuals)):
+    try:
+        if not isnan(sum(starmap(add, points), 0.0)):
+            return
+    except (TypeError, ArithmeticError):  # a Decimal; an int past the float range; not a pair
+        pass
+    for i, point in enumerate(points):
+        if len(point) != 2:
+            raise TypeError(f"point {i} is not an (x, residual) pair: {point!r}")
+        xi, ri = point
         if xi != xi or ri != ri:  # NaN is the one value unequal to itself
             raise ValueError(f"point {i} holds a NaN: covariate {xi!r}, residual {ri!r}")
-
-
-def _nan_free(column: Sequence) -> bool:
-    """True if no value in the column is NaN; False may be a false alarm."""
-    try:
-        return not isnan(sum(column, 0.0))
-    except (TypeError, OverflowError):  # a Decimal; an int past the float range
-        return False
 
 
 class SignSequence(NamedTuple):

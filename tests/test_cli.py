@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from longrun import AlternativeSpec, ResidualSeries, power
-from longrun import cli
+from longrun import cli, exact_null
 from longrun.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -412,6 +412,17 @@ class TestRunTest:
         assert r.n_effective == 3
         assert r.dropped_zeros == 1
 
+    @pytest.mark.parametrize("alpha", [F(0), F(1), F(3, 2)])
+    def test_a_bad_alpha_is_refused_before_the_null_table(self, monkeypatch, alpha):
+        # the ~n^3 table was built first: over a second at 3,000 rows before the error
+        def no_table(n):
+            raise AssertionError("the null table was built")
+
+        monkeypatch.setattr(exact_null, "null_table_by_counting", no_table)
+        series = ResidualSeries.from_residuals(range(20), [(-1) ** (i // 3) for i in range(20)])
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+            run_test(series, alpha)
+
     def test_alpha_renders_as_its_exact_fraction_without_mpmath(self):
         # in a fresh interpreter, where no other test has imported mpmath
         script = "\n".join([
@@ -548,6 +559,23 @@ class TestCommands:
         assert (code, err) == (EXIT_OK, "")
         assert out == run_cli(capsys, *argv, f"--shift={shift}")[1]
         assert json.loads(out)["c"] == float(shift)
+
+    @pytest.mark.parametrize("shift", ["-inf", "-nan", "-Infinity"])
+    def test_a_negative_infinity_or_nan_shift_is_a_value(self, capsys, shift):
+        # argparse read "-inf" as a flag: "argument --shift: expected one argument"
+        argv = ["power", "--n", "5", "--alpha", "1/20", "--sigma", "1"]
+        code, out, err = run_cli(capsys, *argv, "--shift", shift)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "longrun: error: p must lie strictly between 0 and 1\n"
+        assert (code, out, err) == run_cli(capsys, *argv, f"--shift={shift}")
+
+    def test_a_negative_infinite_alpha_is_an_invalid_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["critical", "--n", "5", "--alpha", "-inf"])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --alpha: invalid value '-inf'" in err
+        assert "expected one argument" not in err
 
     def test_a_negative_alpha_in_exponent_form_is_out_of_range(self, capsys):
         code, out, err = run_cli(capsys, "power", "--n", "5", "--alpha", "-1e-3", "--p", "1/2")

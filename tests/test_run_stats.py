@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import pickle
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from longrun import ResidualSeries, SignSequence, longest_runs, signs_from_residuals
+from longrun import ResidualSeries, SignSequence, cli, longest_runs, signs_from_residuals
 from longrun.errors import EmptyAfterDrop, EmptySequence, ZeroResidual
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=64)
@@ -96,6 +97,67 @@ class TestResidualSeries:
             ResidualSeries(points=())
         with pytest.raises(EmptySequence):
             ResidualSeries.from_residuals([], [])
+
+
+def dropped_runs(series):
+    return longest_runs(signs_from_residuals(series, "drop"))
+
+
+covariates = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(float),
+                       st.floats(-3, 3, allow_nan=False))
+residual_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestEveryBuildOrders:
+    """Each way of building a series sorts it by covariate, stably: the paper's order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(covariates, residual_floats), min_size=1, max_size=30))
+    @example([(2, 1.0), (0, 1.0), (1, -1.0)])  # kept in input order, it read L = 2
+    @example([(1, 1.0), (1.0, -1.0), (0.5, 1.0), (1, 1.0)])
+    def test_every_route_gives_one_series(self, points):
+        x, res = zip(*points)
+        unordered = tuple.__new__(ResidualSeries, (tuple(points),))  # made without the check
+        csv_residual = "x,residual\n" + "".join(f"{a!r},{r!r}\n" for a, r in points)
+        csv_raw = "x,y,fitted\n" + "".join(f"{a!r},{r!r},0.0\n" for a, r in points)
+        routes = {
+            "direct": ResidualSeries(points),
+            "iterator": ResidualSeries(iter(points)),
+            "_make": ResidualSeries._make([points]),
+            "_replace": ResidualSeries.from_residuals([0], [1.0])._replace(points=points),
+            "unpickled": pickle.loads(pickle.dumps(unordered)),
+            "from_residuals": ResidualSeries.from_residuals(x, res),
+            "from_raw": ResidualSeries.from_raw(x, res, [0.0] * len(res)),
+            "ingest residual": cli.ingest(io.StringIO(csv_residual))[0],
+            "ingest raw": cli.ingest(io.StringIO(csv_raw))[0],
+        }
+        ordered = tuple(sorted(points, key=lambda point: point[0]))  # sorted is stable
+        runs = outcome(dropped_runs, tuple.__new__(ResidualSeries, (ordered,)))
+        for route, series in routes.items():
+            assert type(series) is ResidualSeries, route
+            assert series == (ordered,), route
+            assert outcome(dropped_runs, series) == runs, route
+
+    def test_points_is_a_tuple_after_a_list(self):
+        points = [(1, 0.5), (0, -0.5)]
+        series = ResidualSeries(points)
+        assert type(series.points) is tuple and series.points == ((0, -0.5), (1, 0.5))
+        points.append((2, 1.0))  # the caller's list is neither kept nor sorted in place
+        assert series.n == 2 and points[0] == (1, 0.5)
+
+    @pytest.mark.parametrize("points", [
+        [(0,), (1,)],
+        [(0, 1.0, 2.0), (1, -1.0, 0.0)],
+        [(0, 1.0), (1,)],
+        [(0, 1.0), (1, -1.0, 0.0)],  # a wider point after a pair was kept
+    ])
+    def test_points_not_pairs_refused(self, points):
+        with pytest.raises(TypeError):
+            ResidualSeries(points)
+        with pytest.raises(TypeError):
+            ResidualSeries._make([points])
+        with pytest.raises(TypeError):
+            ResidualSeries(((0, 1.0),))._replace(points=points)
 
 
 NAN = math.nan
