@@ -52,6 +52,9 @@ EXIT_CONFIG = 3
 MAX_PRECISION = 10**6  # most --precision digits: a Fraction's decimal prints every one
 # how ``longrun test`` decodes a path and stdin: ``ingest`` finds a byte that is not UTF-8
 TEXT = {"encoding": "utf-8", "errors": "surrogateescape", "newline": ""}
+CHUNK = 1 << 15  # about the characters ``_split`` parses at once: more fall out of the CPU cache
+_FORMS = ((("x", "y", "fitted"), ResidualSeries.from_raw),
+          (("x", "residual"), ResidualSeries.from_residuals))
 # every field set, as a Context copies from decimal.DefaultContext each one it is not given
 _DECIMAL = Context(prec=28, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1,
                    clamp=0, flags=[], traps=[InvalidOperation, DivisionByZero, Overflow])
@@ -112,21 +115,31 @@ class TestReport(NamedTuple):
 def ingest(source) -> tuple[ResidualSeries, int]:
     """Parse a residual CSV into a covariate-ordered series.
 
-    Accepts header (x, y, fitted) or (x, residual).  Returns the series
-    plus 0 dropped rows (zero dropping happens at sign time).  Each needed
-    column is parsed, and checked finite, in one C-level pass; a blank or
-    whitespace-only row does not parse, so only if that fails are those rows
-    dropped and the columns parsed again.  Only if that fails too, or a column
-    is not finite, does a row loop run, to raise at the first bad row's line.
-    Text that cannot be decoded or split into fields raises
-    :class:`UnreadableInput`, after any bad row before it.
-    A path is decoded as ``TEXT``; from such a stream, text that is not all
-    ASCII also runs the row loop, to find a byte that is not UTF-8.
+    Accepts header (x, y, fitted) or (x, residual).  Returns the series plus 0
+    dropped rows (zero dropping happens at sign time).  A path, stdin and a ``StringIO``
+    are read whole and parsed by ``_split`` where it can; the csv reader reads the rest,
+    and other streams, line by line as the stream splits them, so the series or the
+    error is the same.  It parses each needed column, and checks it finite, in one
+    C-level pass after dropping blank and whitespace-only rows; only if that fails does
+    a row loop run, to raise at the first bad row's line.  Text that cannot be decoded
+    or split into fields raises :class:`UnreadableInput`, after any bad row before it.
+    A path is decoded as ``TEXT``; from such a stream, text that is not all ASCII also
+    runs the row loop, to find a byte that is not UTF-8.
     """
     named = isinstance(source, (str, bytes))
     with open(source, **TEXT) if named else nullcontext(source) as fh:
-        escaped = getattr(fh, "errors", None) == "surrogateescape"
-        reader = csv.reader(fh)
+        escaped, lines = getattr(fh, "errors", None) == "surrogateescape", fh
+        if escaped or isinstance(fh, io.StringIO):  # others, strict decoders too, go by line
+            start = fh.tell() if isinstance(fh, io.StringIO) or named and fh.seekable() else None
+            if split := _split(text := fh.read(), escaped):
+                del text  # before build, to cap the peak memory of a large file
+                return split[0](*split[1]), 0
+            if start is None:  # stdin or a pipe: each line and its end, as TEXT reads them
+                lines = map(itemgetter(0), re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", text))
+            else:
+                fh.seek(start)
+            del text
+        reader = csv.reader(lines)
         try:
             header = next(reader)
         except StopIteration:
@@ -135,28 +148,18 @@ def ingest(source) -> tuple[ResidualSeries, int]:
             raise UnreadableInput(reader.line_num, exc) from exc
         if escaped:
             _check_decodable(header, 1)
-        if header:  # the byte-order mark of a "CSV UTF-8" file, as Excel writes it
-            header[0] = header[0].removeprefix("\ufeff")
-        cols = [h.strip().lower() for h in header]
-        if {"x", "y", "fitted"} <= set(cols):
-            names, build = ("x", "y", "fitted"), ResidualSeries.from_raw
-        elif {"x", "residual"} <= set(cols):
-            names, build = ("x", "residual"), ResidualSeries.from_residuals
-        else:
-            raise MissingColumns(
-                f"header {header!r} lacks columns (x, y, fitted) or (x, residual)"
-            )
-        idx = [cols.index(name) for name in names]
+        cols, idx, build = _schema(header)
         rows, err = [], None
         try:
             rows.extend(reader)
         except (UnicodeDecodeError, csv.Error) as exc:  # raised once the rows before it pass
             err = UnreadableInput(reader.line_num, exc)
             err.__cause__ = exc
-        kept = rows
-        if (columns := _columns(rows, idx)) is None:
-            kept = list(compress(rows, map(str.strip, map("".join, rows))))
-            columns = _columns(kept, idx)
+        kept = list(compress(rows, map(str.strip, map("".join, rows))))  # not blank
+        try:
+            columns = [list(map(float, map(itemgetter(i), kept))) for i in idx]
+        except (ValueError, IndexError):  # a short row, or one that does not parse
+            columns = None
         # a float sum is finite only if every term is, and an overflow is a false alarm
         # that the row loop passes
         if (columns is None or not all(math.isfinite(sum(c)) for c in columns)
@@ -176,16 +179,50 @@ def ingest(source) -> tuple[ResidualSeries, int]:
                         raise NonFiniteValue(lineno, cols[i])
     if err or not kept:
         raise err or MissingColumns("no data rows")
-    del rows, kept  # before build, to cap the peak memory of a large file
+    del rows, kept, lines  # before build, to cap the peak memory of a large file
     return build(*columns), 0
 
 
-def _columns(rows: list[list[str]], idx: list[int]) -> list[list[float]] | None:
-    """The columns at ``idx`` parsed as floats, or None if a row is short or does not parse."""
-    try:
-        return [list(map(float, map(itemgetter(i), rows))) for i in idx]
-    except (ValueError, IndexError):
+def _schema(header: list[str]):
+    """The header's lower-cased names, the needed columns' indexes and the series builder."""
+    if header:  # the byte-order mark of a "CSV UTF-8" file, as Excel writes it
+        header[0] = header[0].removeprefix("\ufeff")
+    cols = [h.strip().lower() for h in header]
+    for names, build in _FORMS:
+        if set(names) <= set(cols):
+            return cols, [cols.index(name) for name in names], build
+    raise MissingColumns(f"header {header!r} lacks columns (x, y, fitted) or (x, residual)")
+
+
+def _split(text: str, escaped: bool):
+    """The builder and needed columns of CSV ``text`` split at commas and line ends, or None.
+
+    None unless csv splits the text so (no quote, NUL, lone \\r or field past its limit; if
+    ``escaped``, ASCII), every line holds the header's fields and every needed value is finite.
+    A header without the needed columns raises, as it does on the csv reader's path.
+    """
+    if ('"' in text or "\0" in text or escaped and not text.removeprefix("\ufeff").isascii()
+            or "\r" in text and "\r" in (text := text.replace("\r\n", "\n"))):
         return None
+    start, end, limit = text.find("\n") + 1, len(text.rstrip("\n")), csv.field_size_limit()
+    if not 1 < start < end or start > limit:  # no header, only blank rows or none, a long header
+        return None
+    _, idx, build = _schema(header := text[:start - 1].split(","))
+    width, columns = len(header), [[] for _ in idx]
+    while start < end:
+        stop = text.find("\n", start + CHUNK, end) % (end + 1)  # a line end, or the end
+        fields = (chunk := text[start:stop]).replace("\n", ",\n").split(",")
+        lines, start = chunk.count("\n") + 1, stop + 1
+        # a line break starts a field: a line holds width fields if every break is in one
+        if (len(fields) != width * lines or "".join(fields[width::width]).count("\n") < lines - 1
+                or len(chunk) > limit and max(map(len, fields)) > limit):
+            return None
+        try:
+            for column, i in zip(columns, idx):
+                column.extend(map(float, fields[i::width]))
+        except ValueError:
+            return None
+    return (build, columns) if all(math.isfinite(sum(c)) for c in columns) else None
 
 
 def _lines(row: list[str]) -> int:

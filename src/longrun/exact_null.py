@@ -207,6 +207,8 @@ def rejection_region(
     if tail not in TAILS:
         raise ValueError(f"unknown tail {tail!r}")
     alpha = Fraction(alpha)
+    if not 0 < alpha < 1:  # before the bilateral halves, which lie in (0, 1) for alpha < 2
+        raise ValueError("alpha must lie in (0, 1)")
     if tail == "unilateral":
         upper = critical_value(n, alpha, convention)
         return RejectionRegion(lower=None, upper=upper, size=upper.attained_level)

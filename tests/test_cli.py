@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -256,6 +257,15 @@ class TestIngest:
     @example("x,residual\n\n   \n1,-0.0\n0,0\n")
     @example(QUOTED_BREAK_CSV)
     @example('x,residual,"no\nte"\n0,0.5,a\n1,oops,b\n')  # a break in the header
+    @example("x,residual\n1,2,3\n4\n")  # ragged rows whose fields total the header's width twice
+    @example("x,residual\n0,0.5\n1,-0.5\n\n")  # a blank last line
+    @example("x,residual\n0,0.5\r1,-0.5\n")  # a lone \r
+    @example("x,residual,note\n0,0.5,a\r1\n")  # one that leaves each line the header's width
+    @example("x,residual\r\n0,0.5\r\n1,-0.5\r\n")
+    @example("x,residual,note\n0,0.5,a\0b\n1,-0.5,c\n")  # NUL, unused: 3.10's csv raises
+    @example("x,residual,note\n0,0.5," + "9" * 200_000 + "\n1,-0.5,c\n")  # past csv's limit
+    @example("x,residual,note" + "e" * 200_000 + "\n0,0.5,a\n")  # a header past the limit
+    @example("x,y,fitted")  # a header with no rows
     def test_column_pass_equals_row_loop(self, text):
         got = ingest_outcome(ingest, lambda: io.StringIO(text))
         assert got == ingest_outcome(row_loop_ingest, lambda: io.StringIO(text))
@@ -282,6 +292,69 @@ class TestIngest:
             ingest(str(path))
         assert isinstance(exc.value.__cause__, read_error)
         assert 0 < exc.value.line <= 3002  # the lines read before the text failed
+
+    @pytest.mark.parametrize("via", ["path", "pipe", "after_next"])
+    @pytest.mark.parametrize("data", [
+        b"x,residual,note\n0,0.5,ok\n1,-0.5,caf\xe9\n",
+        b"x,residual\n1,2,3\n4\n",
+        b"x,residual\n0,0.5\n1,-0.5\n\n",
+        b"x,residual,note\n0,0.5,a\r1\n",
+        b"x,residual\r\n0,0.5\r\n1,-0.5\r\n",
+        b"\xef\xbb\xbfx,residual\n0,0.5\n1,-0.5\n",
+        b"x,residual,note\n0,0.5,a\0b\n1,-0.5,c\n",
+        b"x,residual,note\n0,0.5," + b"9" * 200_000 + b"\n1,-0.5,c\n",
+        b"x,residual\n",
+    ], ids=["undecodable_in_an_unused_column", "ragged", "blank_last_line", "lone_CR", "CRLF",
+            "BOM", "NUL", "oversized_unquoted", "header_only"])
+    def test_split_path_equals_row_loop_from_a_path_and_a_pipe(self, tmp_path, via, data):
+        # a path is re-read from its start if the split path refuses it; a pipe cannot be, and
+        # a stream read on by next() cannot tell where it is
+        class Pipe(io.BytesIO):
+            def seekable(self):
+                return False
+
+        def after_next():
+            fh = io.TextIOWrapper(io.BytesIO(b"# a line read before\n" + data), **cli.TEXT)
+            next(fh)
+            return fh
+
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+        make = {"path": lambda: str(path), "after_next": after_next,
+                "pipe": lambda: io.TextIOWrapper(Pipe(data), **cli.TEXT)}[via]
+        assert ingest_outcome(ingest, make) == ingest_outcome(row_loop_ingest, make)
+
+    def test_chunks_equal_the_csv_reader(self, monkeypatch):
+        rows = [f"{i % 97},{(-1) ** (i // 3) * (i + 0.5)!r}" for i in range(1000)]
+        text = "\n".join(["x,residual", *rows]) + "\n"
+        monkeypatch.setattr(cli, "CHUNK", 30)  # about 3 lines
+        assert cli._split(text, False) is not None
+        got = ingest(io.StringIO(text))
+        rows[700] = "700,oops"
+        bad = "\n".join(["x,residual", *rows]) + "\n"
+        assert ingest_outcome(ingest, lambda: io.StringIO(bad))[:2] == (ParseError, 702)
+        monkeypatch.setattr(cli, "_split", lambda text, escaped: None)  # the csv reader alone
+        assert got == ingest(io.StringIO(text))
+
+    def test_a_strict_stream_keeps_its_line(self):
+        # read whole, a strict decoder would raise before any line was counted
+        data = b"x,residual\n" + b"3,0.25\n" * 3000 + b"2,\xff\n"
+        make = lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        got = ingest_outcome(ingest, make)
+        assert got == ingest_outcome(row_loop_ingest, make)
+        assert got[:2] == (UnreadableInput, 2340)
+
+    @pytest.mark.parametrize("header", ["x,y,fitted", "x,residual"])
+    def test_100_000_rows_with_ties_equal_the_row_loop(self, header, tmp_path):
+        rng = random.Random(10**5)
+        rows = [",".join([str(i // 3), *(repr(rng.gauss(0, 1)) for _ in header.split(",")[1:])])
+                for i in range(10**5)]
+        rng.shuffle(rows)
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        got = ingest(str(path))
+        assert got[0].n == 10**5
+        assert got == row_loop_ingest(str(path))
 
 
 class TestUndecodableByte:
@@ -422,6 +495,21 @@ class TestRunTest:
         series = ResidualSeries.from_residuals(range(20), [(-1) ** (i // 3) for i in range(20)])
         with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
             run_test(series, alpha)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+            run_test(series, alpha, "bilateral")
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--tail", "bilateral", "--alpha", "1"],
+        ["test", "--tail", "bilateral", "--alpha", "3/2"],
+        ["power", "--n", "50", "--alpha", "3/2", "--p", "1/2", "--tail", "bilateral"],
+    ], ids=["test_1", "test_3_over_2", "power_3_over_2"])
+    def test_a_bilateral_alpha_of_one_or_more_is_a_config_error(self, argv, tmp_path, capsys):
+        # its halves lie in (0, 1): the tails overlapped, and power read 1.27681
+        path = tmp_path / "r.csv"
+        path.write_text("x,residual\n" + "".join(f"{i},{(-1) ** (i // 3)}\n" for i in range(250)))
+        extra = ["-i", str(path)] if argv[0] == "test" else []
+        assert run_cli(capsys, *argv, *extra) == (
+            EXIT_CONFIG, "", "longrun: error: alpha must lie in (0, 1)\n")
 
     def test_alpha_renders_as_its_exact_fraction_without_mpmath(self):
         # in a fresh interpreter, where no other test has imported mpmath

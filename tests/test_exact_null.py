@@ -326,6 +326,14 @@ class TestRejectionRegion:
             with pytest.raises(ValueError):
                 rejection_region(10, F(1, 20), "triple")
 
+    @pytest.mark.parametrize("tail", ["unilateral", "bilateral"])
+    @pytest.mark.parametrize("alpha", [F(0), F(1), F(3, 2), F(199, 100), F(-1, 2)])
+    def test_alpha_itself_must_lie_in_the_unit_interval(self, tail, alpha):
+        # a bilateral alpha in [1, 2) has halves in (0, 1): its two tails overlapped
+        for _ in range(2):  # an error is not cached: every call raises
+            with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+                rejection_region(250, alpha, tail)
+
     def test_built_once_per_configuration(self):
         region = rejection_region(40, F(1, 20), "bilateral", "conservative")
         assert rejection_region(40, F(1, 20), "bilateral", "conservative") is region
