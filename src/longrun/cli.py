@@ -21,7 +21,6 @@ from contextlib import nullcontext
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, DivisionByZero,
                      InvalidOperation, Overflow)
 from fractions import Fraction
-from itertools import accumulate, chain, compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -119,12 +118,10 @@ def ingest(source) -> tuple[ResidualSeries, int]:
     dropped rows (zero dropping happens at sign time).  A path, stdin and a ``StringIO``
     are read whole and parsed by ``_split`` where it can; the csv reader reads the rest,
     and other streams, line by line as the stream splits them, so the series or the
-    error is the same.  It parses each needed column, and checks it finite, in one
-    C-level pass after dropping blank and whitespace-only rows; only if that fails does
-    a row loop run, to raise at the first bad row's line.  Text that cannot be decoded
-    or split into fields raises :class:`UnreadableInput`, after any bad row before it.
-    A path is decoded as ``TEXT``; from such a stream, text that is not all ASCII also
-    runs the row loop, to find a byte that is not UTF-8.
+    error is the same.  The csv reader's rows are parsed in one streaming pass that skips
+    blank rows and raises at the first bad row's line, or where text cannot be decoded or
+    split into fields (:class:`UnreadableInput`).  A path is decoded as ``TEXT``; unless
+    such text is all ASCII, each row is checked for a byte that is not UTF-8.
     """
     named = isinstance(source, (str, bytes))
     with open(source, **TEXT) if named else nullcontext(source) as fh:
@@ -134,6 +131,7 @@ def ingest(source) -> tuple[ResidualSeries, int]:
             if split := _split(text := fh.read(), escaped):
                 del text  # before build, to cap the peak memory of a large file
                 return split[0](*split[1]), 0
+            escaped = escaped and not text.isascii()  # ASCII holds no escaped byte
             if start is None:  # stdin or a pipe: each line and its end, as TEXT reads them
                 lines = map(itemgetter(0), re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", text))
             else:
@@ -141,45 +139,33 @@ def ingest(source) -> tuple[ResidualSeries, int]:
             del text
         reader = csv.reader(lines)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumns("empty input")
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise UnreadableInput(reader.line_num, exc) from exc
-        if escaped:
-            _check_decodable(header, 1)
-        cols, idx, build = _schema(header)
-        rows, err = [], None
-        try:
-            rows.extend(reader)
-        except (UnicodeDecodeError, csv.Error) as exc:  # raised once the rows before it pass
-            err = UnreadableInput(reader.line_num, exc)
-            err.__cause__ = exc
-        kept = list(compress(rows, map(str.strip, map("".join, rows))))  # not blank
-        try:
-            columns = [list(map(float, map(itemgetter(i), kept))) for i in idx]
-        except (ValueError, IndexError):  # a short row, or one that does not parse
-            columns = None
-        # a float sum is finite only if every term is, and an overflow is a false alarm
-        # that the row loop passes
-        if (columns is None or not all(math.isfinite(sum(c)) for c in columns)
-                or escaped and not all(map(str.isascii, chain.from_iterable(rows)))):
-            # the row loop, only to raise at the first bad row's line; a row starts on
-            # the line after those that the header and the rows before it span
-            starts = accumulate(map(_lines, rows), initial=1 + _lines(header))
-            for lineno, row in compress(zip(starts, rows), map(str.strip, map("".join, rows))):
+            if (header := next(reader, None)) is None:
+                raise MissingColumns("empty input")
+            if escaped:
+                _check_decodable(header, 1)
+            cols, idx, build = _schema(header)
+            data, end = [], reader.line_num  # the needed values, row by row
+            for row in reader:
+                lineno, end = end + 1, reader.line_num  # a row starts after the lines before it
                 if escaped:
                     _check_decodable(row, lineno)
                 try:
                     vals = [float(row[i]) for i in idx]
                 except (ValueError, IndexError) as exc:
+                    if not "".join(row).strip():  # a blank or whitespace-only row
+                        continue
                     raise ParseError(lineno, f"cannot parse row {row!r}: {exc}")
-                for v, i in zip(vals, idx):
-                    if not math.isfinite(v):
-                        raise NonFiniteValue(lineno, cols[i])
-    if err or not kept:
-        raise err or MissingColumns("no data rows")
-    del rows, kept, lines  # before build, to cap the peak memory of a large file
+                if not math.isfinite(sum(vals)):  # or an overflow, which this loop passes
+                    for v, i in zip(vals, idx):
+                        if not math.isfinite(v):
+                            raise NonFiniteValue(lineno, cols[i])
+                data += vals
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise UnreadableInput(reader.line_num, exc) from exc
+    if not data:
+        raise MissingColumns("no data rows")
+    columns = [data[i::len(idx)] for i in range(len(idx))]
+    del data  # before build, to cap the peak memory of a large file
     return build(*columns), 0
 
 
@@ -223,12 +209,6 @@ def _split(text: str, escaped: bool):
         except ValueError:
             return None
     return (build, columns) if all(math.isfinite(sum(c)) for c in columns) else None
-
-
-def _lines(row: list[str]) -> int:
-    """The lines a row spans: one more per \\r\\n, \\r or \\n in a field, as ``TEXT`` splits."""
-    text = ",".join(row)
-    return 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
 def _check_decodable(row: list[str], line: int) -> None:
@@ -312,6 +292,8 @@ def _cmd_test(args) -> dict:
                 stdin.detach()  # sys.stdin stays open
     except OSError as exc:  # opening or reading the input; an error writing stdout is not one
         raise IngestError(exc) from exc
+    except MemoryError as exc:  # not a rejection, whose exit code an uncaught error would share
+        raise IngestError("out of memory reading the input") from exc
     report = run_test(series, args.alpha, args.tail, args.convention, args.zero_policy)
     d = report.to_dict(args.precision)
     lines = [

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import nullcontext
 from decimal import ROUND_DOWN, DefaultContext, Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -343,6 +344,38 @@ class TestIngest:
         got = ingest_outcome(ingest, make)
         assert got == ingest_outcome(row_loop_ingest, make)
         assert got[:2] == (UnreadableInput, 2340)
+
+    def test_a_caller_stream_counts_its_own_lines(self):
+        # a default io.StringIO splits lines at \n alone, so a \r in a quoted field starts none
+        with pytest.raises(ParseError) as exc:
+            ingest(io.StringIO('x,residual,note\n0,0.5,"a\rb"\n1,oops,x\n'))
+        assert exc.value.line == 3
+
+    def test_a_bad_row_stops_the_read(self):
+        def lines():
+            yield from ["x,residual", "0,0.5", "1,oops"]
+            raise AssertionError("read past the bad row")
+
+        with pytest.raises(ParseError) as exc:
+            ingest(lines())
+        assert exc.value.line == 3
+
+    def test_the_csv_reader_path_streams(self, tmp_path):
+        # a quoted field on the last row sends the whole file to the csv reader, which must
+        # not hold every row, or their text, beside the series it builds
+        rng = random.Random(10**5)
+        rows = [f"{i // 3},{rng.gauss(0, 1)!r}" for i in range(10**5)]
+        rows[-1] = f'{10**5},"{rng.gauss(0, 1)!r}"'
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(["x,residual", *rows]) + "\n")
+        tracemalloc.start()
+        try:
+            got = ingest(str(path))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got[0].n == 10**5
+        assert peak < 2 * held, f"peak {peak} B for a series of {held} B"
 
     @pytest.mark.parametrize("header", ["x,y,fitted", "x,residual"])
     def test_100_000_rows_with_ties_equal_the_row_loop(self, header, tmp_path):
@@ -771,6 +804,19 @@ class TestCommands:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BufferedReader(Failing())))
         assert run_cli(capsys, "test", "-i", "-") == (
             EXIT_INPUT, "", "longrun: input error: [Errno 5] Input/output error\n")
+
+    @pytest.mark.parametrize("via", ["path", "stdin"])
+    def test_running_out_of_memory_reading_the_input_is_input_error(self, via, small_csv,
+                                                                     capsys, monkeypatch):
+        # not exit 1, which --fail-on-reject gives a rejection, nor a traceback
+        def ingest(source):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "ingest", ingest)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"x,residual\n0,1\n")))
+        assert run_cli(capsys, "test", "-i", small_csv if via == "path" else "-",
+                       "--fail-on-reject") == (
+            EXIT_INPUT, "", "longrun: input error: out of memory reading the input\n")
 
     def test_an_error_writing_stdout_is_not_an_input_error(self, small_csv, monkeypatch):
         class BrokenPipe(io.StringIO):
