@@ -12,14 +12,15 @@ __version__ = "0.1.0"
 # ``longrun test`` imports neither the power and oracle engines (and
 # mpmath) nor the published-recursion cross-checks.
 _EXPORTS = {
-    "alternative": ("AlternativeSpec", "PowerResult", "alt_cdf", "attained_size",
-                    "p_from_gaussian_shift", "power"),
+    "alternative": ("AlternativeSpec", "PowerResult", "alt_cdf", "p_from_gaussian_shift",
+                    "power"),
     "asymptotic": ("ConvergenceReport", "convergence_report", "plus_run_cdf",
                    "plus_run_counts"),
     "brute_oracle": ("JointCountTable", "enumerate_joint", "oracle_null_pmf", "oracle_snk"),
+    "cli": ("TestReport", "run_test"),
     "conditional_counts": ("CountTable", "snk_dp"),
-    "exact_null": ("CriticalValueResult", "ProbabilityTable", "compositions_bounded",
-                   "critical_value", "null_table_by_counting", "p_value"),
+    "exact_null": ("CriticalValueResult", "ProbabilityTable", "attained_size",
+                   "compositions_bounded", "critical_value", "null_table_by_counting", "p_value"),
     "published": ("DiscrepancyReport", "Resolution", "null_table_riordan", "snk_proposition1"),
     "run_stats": ("ResidualSeries", "RunSummary", "SignSequence", "longest_runs",
                   "signs_from_residuals"),

@@ -208,8 +208,3 @@ def power(n: int, alpha: Fraction | float | str, tail: str, convention: str,
     alpha = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
     _, rejected, label, ops = rejected_counts(n, alpha, tail, convention)
     return PowerResult(n, alpha, tail, convention, spec, _mixture(rejected, spec.p, ops), label)
-
-
-def attained_size(n: int, alpha: Fraction | float | str, tail: str, convention: str) -> Fraction:
-    """Exact null probability of the configured rejection region."""
-    return rejection_region(n, alpha, tail, convention).size

@@ -18,7 +18,7 @@ import math
 import re
 import sys
 from contextlib import nullcontext
-from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, DivisionByZero,
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
                      InvalidOperation, Overflow)
 from fractions import Fraction
 from operator import itemgetter
@@ -73,10 +73,11 @@ def fraction_decimal(value: Fraction, precision: int) -> str:
 def prob_fields(value, precision: int) -> dict:
     """Probability as {'fraction': 'a/b' | None, 'decimal': str}."""
     if isinstance(value, Fraction):
-        return {
-            "fraction": f"{value.numerator}/{value.denominator}",
-            "decimal": fraction_decimal(value, precision),
-        }
+        try:
+            fraction = f"{value.numerator}/{value.denominator}"
+        except ValueError:  # past Python's int/str digit limit, which a Decimal's str is not under
+            fraction = f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+        return {"fraction": fraction, "decimal": fraction_decimal(value, precision)}
     import mpmath  # only an mpf gets here, so mpmath is already loaded
 
     return {"fraction": None, "decimal": mpmath.nstr(value, precision)}

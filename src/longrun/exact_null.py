@@ -219,6 +219,11 @@ def rejection_region(
     return RejectionRegion(lower=lower, upper=upper, size=size)
 
 
+def attained_size(n: int, alpha: Fraction | float | str, tail: str, convention: str) -> Fraction:
+    """Exact null probability of the configured rejection region."""
+    return rejection_region(n, alpha, tail, convention).size
+
+
 def p_value(n: int, observed: int, tail: str = "unilateral") -> Fraction:
     """Exact p-value of an observed longest run.
 
@@ -229,9 +234,8 @@ def p_value(n: int, observed: int, tail: str = "unilateral") -> Fraction:
         raise ValueError(f"unknown tail {tail!r}")
     if not 1 <= observed <= n:
         raise ObservedOutOfRange(f"observed={observed} outside 1..{n}")
-    table = null_table_by_counting(n)
-    upper = table.sf(observed - 1)  # Pr(L_n >= observed)
-    if tail == "unilateral":
-        return upper
-    lower = table.cdf(observed)
-    return min(Fraction(1), 2 * min(upper, lower))
+    counts = null_table_by_counting(n).below
+    count = (1 << n) - counts[observed - 1]  # the strings with L_n >= observed
+    if tail == "bilateral":  # the smaller tail doubled, at most all 2^n strings
+        count = min(1 << n, 2 * min(count, counts[observed]))
+    return Fraction(count, 1 << n)

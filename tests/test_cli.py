@@ -562,6 +562,19 @@ class TestRunTest:
         assert proc.stdout.decode().split() == [
             "1/20", "1/20", f"{dyadic.numerator}/{dyadic.denominator}", "False"]
 
+    def test_attained_size_without_mpmath(self):
+        # a null-law number, so the package resolves it without the power engine
+        script = "\n".join([
+            "import sys",
+            "import longrun",
+            "print(longrun.attained_size(97, '1/3', 'bilateral', 'paper'))",
+            "print('mpmath' in sys.modules)",
+        ])
+        proc = run_module("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().split() == [
+            "3038466456974148386952760031/9903520314283042199192993792", "False"]
+
 
 class TestRendering:
     def test_fraction_decimal(self):
@@ -1089,3 +1102,18 @@ class TestLongIntegers:
         assert Decimal(num) == Decimal(exact.numerator)
         assert Decimal(den) == Decimal(exact.denominator)
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_record_past_the_int_digit_limit(self):
+        # at n = 15,000 the attained level's numerator has over 4,500 digits
+        set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        record = exact_null.critical_value(15000, F(1, 20))
+        try:
+            set_limit(4300)  # Python's default
+            limited = cli.record_dict(record, 6, "alpha", "attained_level")
+            set_limit(0)
+            lifted = cli.record_dict(record, 6, "alpha", "attained_level")
+        finally:
+            set_limit(limit)
+        assert limited == lifted
+        assert len(lifted["attained_level"]["fraction"]) > 2 * 4300

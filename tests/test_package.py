@@ -11,11 +11,12 @@ from longrun.errors import EmptySequence
 PUBLIC = [
     "AlternativeSpec", "ConvergenceReport", "CountTable", "CriticalValueResult",
     "DiscrepancyReport", "JointCountTable", "PowerResult", "ProbabilityTable",
-    "ResidualSeries", "Resolution", "RunSummary", "SignSequence", "alt_cdf",
+    "ResidualSeries", "Resolution", "RunSummary", "SignSequence", "TestReport", "alt_cdf",
     "attained_size", "compositions_bounded", "convergence_report", "critical_value",
     "enumerate_joint", "longest_runs", "null_table_by_counting", "null_table_riordan",
     "oracle_null_pmf", "oracle_snk", "p_from_gaussian_shift", "p_value", "plus_run_cdf",
-    "plus_run_counts", "power", "signs_from_residuals", "snk_dp", "snk_proposition1",
+    "plus_run_counts", "power", "run_test", "signs_from_residuals", "snk_dp",
+    "snk_proposition1",
 ]
 
 
@@ -49,6 +50,9 @@ RECORDS = {
     "RunSummary": lambda: longrun.longest_runs([1, 1, 0]),
     "SignSequence": lambda: longrun.signs_from_residuals(
         longrun.ResidualSeries.from_residuals([0, 1, 2], [0.5, 0.0, -1.0]), "drop"
+    ),
+    "TestReport": lambda: longrun.run_test(
+        longrun.ResidualSeries.from_residuals(range(6), [1, -1, 1, 1, 1, -1]), "1/20"
     ),
 }
 
