@@ -57,6 +57,9 @@ _FORMS = ((("x", "y", "fitted"), ResidualSeries.from_raw),
 # every field set, as a Context copies from decimal.DefaultContext each one it is not given
 _DECIMAL = Context(prec=28, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1,
                    clamp=0, flags=[], traps=[InvalidOperation, DivisionByZero, Overflow])
+# a negative number, a flag's value: a minus sign and a decimal, with an exponent or not, or
+# inf, infinity or nan in any case
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
 def fraction_decimal(value: Fraction, precision: int) -> str:
@@ -425,12 +428,9 @@ def n_grid(text: str) -> list[int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # a minus sign and a decimal, with an exponent or not, or inf, infinity or nan in any
-        # case, is a value: -2e-1 and -inf too, which argparse reads as flags
-        self._negative_number_matcher = re.compile(
-            r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
+    def _parse_optional(self, arg_string):
+        # a value before any flag is matched: argparse reads -inf as -i nf, and -2e-1 as a flag
+        return None if _NEGATIVE_NUMBER.match(arg_string) else super()._parse_optional(arg_string)
 
     def error(self, message):
         self.print_usage(sys.stderr)

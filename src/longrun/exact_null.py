@@ -55,6 +55,19 @@ def _compositions(n: int, x: int, firsts: list[int]) -> int:
     return last
 
 
+def _count_below(n: int, x: int, firsts: list[int] | None = None) -> int:
+    """The length-n sign strings with L_n <= x: for 0 < x < n // 2 twice the compositions of n
+    into parts <= x (one per first sign) from a window started at ``firsts`` (c(0..x) at least,
+    built here if None); for n // 2 <= x < n at most one run is longer than x, so the strings
+    with one are counted by where it starts: 2^(n-x) at the first place, 2^(n-x-1) after the
+    other sign at n - x - 1."""
+    if not 0 < x < n:
+        return 0 if x <= 0 else 1 << n
+    if x < n // 2:
+        return _compositions(n, x, _first_compositions(x + 1) if firsts is None else firsts) << 1
+    return (1 << n) - ((n - x + 1) << (n - x - 1))
+
+
 class ProbabilityTable(NamedTuple):
     """Exact pmf/cdf of the longest-run statistic for one n, as counts over 2^n."""
 
@@ -93,31 +106,17 @@ class CriticalValueResult(NamedTuple):
 
 @engine_cache
 def null_table_by_counting(n: int) -> ProbabilityTable:
-    """Null pmf via bounded-run counting (authoritative engine).
-
-    Pr(L_n <= x) is the number of length-n binary strings whose runs of either symbol
-    are at most x, over 2^n: twice the compositions of n into parts <= x (one per first
-    sign), for x < n // 2 from the window of ``compositions_bounded``.  For n // 2 <= x < n
-    at most one run is longer than x, so the strings with one are counted by where it
-    starts: 2^(n-x) at the first place, 2^(n-x-1) after the other sign at n - x - 1.
-    """
+    """Null pmf via bounded-run counting (authoritative engine), not through ``below``'s cache."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    half = n // 2
-    firsts = _first_compositions(half)  # the most any x < half reads: x + 1
-    window = (_compositions(n, x, firsts) << 1 for x in range(1, half))
-    closed = (below.__wrapped__(n, x) for x in range(max(half, 1), n))  # not cached
-    return ProbabilityTable(n=n, below=(0, *window, *closed, 1 << n))
+    firsts = _first_compositions(n // 2)  # one window start: x + 1 terms for any x < n // 2
+    return ProbabilityTable(n=n, below=tuple(_count_below(n, x, firsts) for x in range(n + 1)))
 
 
 @engine_cache
 def below(n: int, x: int) -> int:
     """``null_table_by_counting(n).below[x]``, one count: the length-n strings with L_n <= x."""
-    if not 0 < x < n:
-        return 0 if x <= 0 else 1 << n
-    if x < n // 2:
-        return compositions_bounded(n, x) << 1
-    return (1 << n) - ((n - x + 1) << (n - x - 1))  # less the strings with a run longer than x
+    return _count_below(n, x)
 
 
 def _guess(n: int, alpha: Fraction) -> int:

@@ -711,6 +711,17 @@ class TestCommands:
         assert "argument --alpha: invalid value '-inf'" in err
         assert "expected one argument" not in err
 
+    @pytest.mark.parametrize("first", [False, True], ids=["after_input", "before_input"])
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity"])
+    def test_a_negative_infinite_alpha_beside_the_input_flag_is_an_invalid_value(
+            self, small_csv, capsys, value, first):
+        # argparse matched "-inf" to the short flag -i: "argument --alpha: expected one argument"
+        alpha, source = ["--alpha", value], ["-i", small_csv]
+        got = parse_outcome(main, ["test", *(alpha + source if first else source + alpha)], capsys)
+        assert got == parse_outcome(main, ["test", *source, f"--alpha={value}"], capsys)
+        assert got[1] == EXIT_CONFIG
+        assert f"argument --alpha: invalid value '{value}'" in got[3]
+
     def test_a_negative_alpha_in_exponent_form_is_out_of_range(self, capsys):
         code, out, err = run_cli(capsys, "power", "--n", "5", "--alpha", "-1e-3", "--p", "1/2")
         assert (code, out) == (EXIT_CONFIG, "")
@@ -1023,8 +1034,10 @@ class TestOneSubcommandParser:
         ["--help"], ["-h"], ["--bogus", "1"], [], ["--format", "yaml"], ["--version"],
         ["--n", "x"], ["-i", "r.csv", "--alpha"], ["--precision", "3", "extra"],
         ["--n", "5", "--alpha", "1/20", "--p", "1/2", "--shift", "1"], ["--precision", "0"],
+        ["-i", "r.csv", "--alpha", "-inf"], ["--alpha", "-Infinity", "-i", "r.csv"],
     ], ids=["help", "h", "bad_flag", "missing_required", "bad_choice", "version", "bad_int",
-            "missing_value", "extra_positional", "exclusive", "precision_below_one"])
+            "missing_value", "extra_positional", "exclusive", "precision_below_one",
+            "minus_inf_alpha_after_input", "minus_infinity_alpha_before_input"])
     def test_same_output_as_the_full_parser(self, command, tail, capsys):
         argv = [command, *tail]
         single = parse_outcome(cli.parse_args, argv, capsys)

@@ -231,6 +231,15 @@ class TestCountPath:
             counts = null_table_by_counting(n).below
             assert [below(n, x) for x in range(-1, n + 2)] == [0, *counts, counts[-1]], n
 
+    def test_a_table_leaves_the_count_cache_as_it_was(self):
+        # a decision's counts stay cached while a table is built, for the next decision
+        critical_value(257, F(1, 20))
+        null_table_by_counting.cache_clear()
+        before = below.cache_info()
+        null_table_by_counting(257)
+        assert null_table_by_counting.cache_info().misses == 1
+        assert below.cache_info() == before
+
     @pytest.mark.parametrize("n", range(1, 21))
     def test_equals_enumeration(self, n):
         pmf = oracle_null_pmf(n)
