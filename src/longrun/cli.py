@@ -21,7 +21,6 @@ from contextlib import nullcontext
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
                      InvalidOperation, Overflow)
 from fractions import Fraction
-from operator import itemgetter
 from typing import NamedTuple
 
 # power, snk, converge and oracle import their engines (and mpmath) when they
@@ -120,24 +119,28 @@ def ingest(source) -> tuple[ResidualSeries, int]:
 
     Accepts header (x, y, fitted) or (x, residual).  Returns the series plus 0
     dropped rows (zero dropping happens at sign time).  A path, stdin and a ``StringIO``
-    are read whole and parsed by ``_split`` where it can; the csv reader reads the rest,
-    and other streams, line by line as the stream splits them, so the series or the
-    error is the same.  The csv reader's rows are parsed in one streaming pass that skips
-    blank rows and raises at the first bad row's line, or where text cannot be decoded or
-    split into fields (:class:`UnreadableInput`).  A path is decoded as ``TEXT``; unless
-    such text is all ASCII, each row is checked for a byte that is not UTF-8.
+    are read whole and parsed by ``_split`` where it can; the csv reader reads the rest again
+    from its start, or from its bytes decoded as ``TEXT`` if it came from stdin or a pipe,
+    and other streams by line, so the series or the error is the same.  Its rows are parsed
+    in one streaming pass that skips blank rows and raises at the first bad row's line, or
+    where text cannot be decoded or split into fields (:class:`UnreadableInput`).  A path is
+    decoded as ``TEXT``; such text is checked row by row only if it holds a non-UTF-8 byte.
     """
     named = isinstance(source, (str, bytes))
     with open(source, **TEXT) if named else nullcontext(source) as fh:
         escaped, lines = getattr(fh, "errors", None) == "surrogateescape", fh
         if escaped or isinstance(fh, io.StringIO):  # others, strict decoders too, go by line
             start = fh.tell() if isinstance(fh, io.StringIO) or named and fh.seekable() else None
-            if split := _split(text := fh.read(), escaped):
+            text = fh.read()
+            try:  # a byte that is not UTF-8 is read as U+DC80..U+DCFF, which UTF-8 cannot encode
+                escaped = escaped and not (text.isascii() or text.encode())
+            except UnicodeEncodeError:  # such a byte: the csv reader names its row
+                pass
+            if not escaped and (split := _split(text)):
                 del text  # before build, to cap the peak memory of a large file
                 return split[0](*split[1]), 0
-            escaped = escaped and not text.isascii()  # ASCII holds no escaped byte
-            if start is None:  # stdin or a pipe: each line and its end, as TEXT reads them
-                lines = map(itemgetter(0), re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", text))
+            if start is None:  # stdin or a pipe: its bytes, read as a path is
+                lines = io.TextIOWrapper(io.BytesIO(text.encode(errors="surrogateescape")), **TEXT)
             else:
                 fh.seek(start)
             del text
@@ -166,6 +169,7 @@ def ingest(source) -> tuple[ResidualSeries, int]:
                 data += vals
         except (UnicodeDecodeError, csv.Error) as exc:
             raise UnreadableInput(reader.line_num, exc) from exc
+        del reader, lines  # a pipe's bytes, before build
     if not data:
         raise MissingColumns("no data rows")
     columns = [data[i::len(idx)] for i in range(len(idx))]
@@ -184,15 +188,14 @@ def _schema(header: list[str]):
     raise MissingColumns(f"header {header!r} lacks columns (x, y, fitted) or (x, residual)")
 
 
-def _split(text: str, escaped: bool):
+def _split(text: str):
     """The builder and needed columns of CSV ``text`` split at commas and line ends, or None.
 
-    None unless csv splits the text so (no quote, NUL, lone \\r or field past its limit; if
-    ``escaped``, ASCII), every line holds the header's fields and every needed value is finite.
+    None unless csv splits the text so (no quote, NUL, lone \\r or field past its limit), every
+    line holds the header's fields and every needed value is finite.
     A header without the needed columns raises, as it does on the csv reader's path.
     """
-    if ('"' in text or "\0" in text or escaped and not text.removeprefix("\ufeff").isascii()
-            or "\r" in text and "\r" in (text := text.replace("\r\n", "\n"))):
+    if '"' in text or "\0" in text or "\r" in text and "\r" in (text := text.replace("\r\n", "\n")):
         return None
     start, end, limit = text.find("\n") + 1, len(text.rstrip("\n")), csv.field_size_limit()
     if not 1 < start < end or start > limit:  # no header, only blank rows or none, a long header

@@ -70,6 +70,13 @@ QUOTED_BREAK_CSV = 'x,residual,note\n0,0.5,"two\nlines"\n1,oops,x'
 LINE_BREAK = re.compile(r"\r\n|\r|\n")  # the line ends of a newline="" stream
 
 
+class Pipe(io.BytesIO):
+    """Bytes that cannot be read again from their start, as from stdin or a pipe."""
+
+    def seekable(self):
+        return False
+
+
 def undecodable_row(row, line):
     """The error for a row holding an escaped byte (U+DC80..U+DCFF), else None."""
     text = ",".join(row)
@@ -267,6 +274,13 @@ class TestIngest:
     @example("x,residual,note\n0,0.5," + "9" * 200_000 + "\n1,-0.5,c\n")  # past csv's limit
     @example("x,residual,note" + "e" * 200_000 + "\n0,0.5,a\n")  # a header past the limit
     @example("x,y,fitted")  # a header with no rows
+    @example("x,residual,not\u00e9\n0,0.5,caf\u00e9\n1,-0.5,\u65e5\u672c\n")  # UTF-8, unused
+    @example("\ufeffnot\u00e9,x,residual\n\u00fc,0,0.5\n,1,-0.5\n")  # a BOM, then UTF-8
+    @example("x,residual\n0,\u00a00.5\n1,-0.5\n")  # U+00A0 in a needed field
+    @example("x,residual\n0,0.5\u2028\n1,-0.5\n")  # U+2028
+    @example("x,residual\n0,\x850.5\n1,-0.5\n")  # U+0085
+    @example("x,residual\n0,0.5\n\n\n1,-0.5\n2,0.5\n")  # blank lines in the middle
+    @example("x,residual\n\n0,0.5\n1,-0.5\n")  # a blank line right after the header
     def test_column_pass_equals_row_loop(self, text):
         got = ingest_outcome(ingest, lambda: io.StringIO(text))
         assert got == ingest_outcome(row_loop_ingest, lambda: io.StringIO(text))
@@ -305,15 +319,22 @@ class TestIngest:
         b"x,residual,note\n0,0.5,a\0b\n1,-0.5,c\n",
         b"x,residual,note\n0,0.5," + b"9" * 200_000 + b"\n1,-0.5,c\n",
         b"x,residual\n",
+        "x,residual,not\u00e9\n0,0.5,caf\u00e9\n1,-0.5,\u65e5\u672c\n".encode(),
+        "\ufeffnot\u00e9,x,residual\n\u00fc,0,0.5\n,1,-0.5\n".encode(),
+        "x,residual\n0,\u00a00.5\n1,-0.5\n".encode(),
+        "x,residual\n0,0.5\u2028\n1,-0.5\n".encode(),
+        "x,residual\n0,\x850.5\n1,-0.5\n".encode(),
+        b"x,residual\n0,0.5\n\n\n1,-0.5\n2,0.5\n",
+        b"x,residual\n\n0,0.5\n1,-0.5\n",
+        b'x,residual,note\n0,0.5,"a\rb"\n1,oops,x\n',
     ], ids=["undecodable_in_an_unused_column", "ragged", "blank_last_line", "lone_CR", "CRLF",
-            "BOM", "NUL", "oversized_unquoted", "header_only"])
+            "BOM", "NUL", "oversized_unquoted", "header_only", "UTF8_in_the_header_and_unused",
+            "BOM_then_UTF8", "NBSP_in_a_needed_field", "LS_in_a_needed_field",
+            "NEL_in_a_needed_field", "blank_lines_in_the_middle", "blank_line_after_the_header",
+            "quoted_CR"])
     def test_split_path_equals_row_loop_from_a_path_and_a_pipe(self, tmp_path, via, data):
         # a path is re-read from its start if the split path refuses it; a pipe cannot be, and
         # a stream read on by next() cannot tell where it is
-        class Pipe(io.BytesIO):
-            def seekable(self):
-                return False
-
         def after_next():
             fh = io.TextIOWrapper(io.BytesIO(b"# a line read before\n" + data), **cli.TEXT)
             next(fh)
@@ -325,16 +346,43 @@ class TestIngest:
                 "pipe": lambda: io.TextIOWrapper(Pipe(data), **cli.TEXT)}[via]
         assert ingest_outcome(ingest, make) == ingest_outcome(row_loop_ingest, make)
 
+    @pytest.mark.parametrize("via", ["path", "pipe"])
+    def test_utf8_text_never_reaches_the_csv_reader(self, via, tmp_path, monkeypatch):
+        data = "\ufeffx,residual,not\u00e9\n0,0.5,caf\u00e9\n1,-0.5,\u65e5\u672c\n".encode()
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader was called")
+
+        monkeypatch.setattr(cli.csv, "reader", refuse)
+        series, _ = ingest(str(path) if via == "path" else io.TextIOWrapper(Pipe(data), **cli.TEXT))
+        assert series.residuals == (0.5, -0.5)
+
+    @pytest.mark.parametrize("via", ["path", "pipe"])
+    def test_an_undecodable_byte_never_reaches_the_split_path(self, via, tmp_path, monkeypatch):
+        data = b"x,residual,note\n0,0.5,caf\xc3\xa9\n1,-0.5,\xff\n"
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+
+        def refuse(*args):
+            raise AssertionError("_split was called")
+
+        monkeypatch.setattr(cli, "_split", refuse)
+        with pytest.raises(UnreadableInput) as exc:
+            ingest(str(path) if via == "path" else io.TextIOWrapper(Pipe(data), **cli.TEXT))
+        assert exc.value.line == 2
+
     def test_chunks_equal_the_csv_reader(self, monkeypatch):
         rows = [f"{i % 97},{(-1) ** (i // 3) * (i + 0.5)!r}" for i in range(1000)]
         text = "\n".join(["x,residual", *rows]) + "\n"
         monkeypatch.setattr(cli, "CHUNK", 30)  # about 3 lines
-        assert cli._split(text, False) is not None
+        assert cli._split(text) is not None
         got = ingest(io.StringIO(text))
         rows[700] = "700,oops"
         bad = "\n".join(["x,residual", *rows]) + "\n"
         assert ingest_outcome(ingest, lambda: io.StringIO(bad))[:2] == (ParseError, 702)
-        monkeypatch.setattr(cli, "_split", lambda text, escaped: None)  # the csv reader alone
+        monkeypatch.setattr(cli, "_split", lambda text: None)  # the csv reader alone
         assert got == ingest(io.StringIO(text))
 
     def test_a_strict_stream_keeps_its_line(self):
