@@ -79,12 +79,13 @@ def p_from_gaussian_shift(c: float, sigma: float) -> mpmath.mpf:
     """p = Phi(c/sigma) for Gaussian errors shifted by c; 1 - Phi(-c/sigma) if that rounds to 1.
 
     z = c/sigma and ``mpmath.ncdf`` run at INTERNAL_DPS digits.  From |z| = 2^512 on, p is 1
-    above 0 and a ValueError below.
+    above 0 and a ValueError below; a sigma that is not > 0 and a NaN z are ValueErrors too.
     """
-    if sigma <= 0:
+    if not sigma > 0:  # a NaN sigma too
         raise ValueError("sigma must be positive")
     with mpmath.workdps(INTERNAL_DPS):
-        z = mpmath.mpf(c) / mpmath.mpf(sigma)
+        if mpmath.isnan(z := mpmath.mpf(c) / mpmath.mpf(sigma)):  # a NaN c, or c = sigma = inf
+            raise ValueError(f"c/sigma = {c}/{sigma} is not a number")
         if mpmath.isfinite(z) and mpmath.mag(z) > 512:  # from |z| ~ 1.9e154 erfc overflows a float
             if z < 0:
                 raise ValueError(f"c/sigma = {mpmath.nstr(z, 5)} is below -2^512, where Phi is "

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -123,10 +124,11 @@ def ingest(source) -> tuple[ResidualSeries, int]:
     from its start, or from its bytes decoded as ``TEXT`` if it came from stdin or a pipe,
     and other streams by line, so the series or the error is the same.  Its rows are parsed
     in one streaming pass that skips blank rows and raises at the first bad row's line, or
-    where text cannot be decoded or split into fields (:class:`UnreadableInput`).  A path is
-    decoded as ``TEXT``; such text is checked row by row only if it holds a non-UTF-8 byte.
+    where text cannot be decoded or split into fields (:class:`UnreadableInput`).  A path (a
+    ``str``, ``bytes`` or ``os.PathLike``) is decoded as ``TEXT``; such text is checked row by
+    row only if it holds a non-UTF-8 byte.
     """
-    named = isinstance(source, (str, bytes))
+    named = isinstance(source, (str, bytes, os.PathLike))
     with open(source, **TEXT) if named else nullcontext(source) as fh:
         escaped, lines = getattr(fh, "errors", None) == "surrogateescape", fh
         if escaped or isinstance(fh, io.StringIO):  # others, strict decoders too, go by line

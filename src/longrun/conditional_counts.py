@@ -5,7 +5,7 @@
 run-state kernel ``bounded_runs`` computes it (and the one-sided bounds);
 the published four-case recursion, reconciled against the kernel, lives
 in ``longrun.published``.  The null law needs only the symmetric total,
-which ``exact_null.compositions_bounded`` counts with the kernel's
+which ``exact_null._count_below`` counts with the kernel's
 one-sequence specialisation.
 """
 

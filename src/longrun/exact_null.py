@@ -2,7 +2,7 @@
 
 Under the null the residual signs are independent fair coin flips, so
 every probability is a rational with denominator 2^n, kept as the
-integer count over 2^n from ``compositions_bounded``.  The published
+integer count over 2^n from ``_count_below``.  The published
 null recursion, a cross-check of this engine, lives in ``longrun.published``.
 """
 
@@ -26,33 +26,15 @@ def compositions_bounded(n: int, x: int) -> int:
     """Number of compositions of n into parts from {1..x}; 1 for n = 0 (the empty one).
 
     The parts are the runs of the strings that start with a one, so for n >= 1 the count
-    is ``conditional_counts.bounded_runs(n, x, x) // 2``: the window recurrence
-    c(m) = 2 c(m-1) - c(m-1-x) for m > x (Schilling, College Math. J. 1990), from
-    c(0) = 1 and c(m) = 2^(m-1) for 1 <= m <= x.
+    is half of ``_count_below(n, x)``: the window recurrence c(m) = 2 c(m-1) - c(m-1-x)
+    for m > x (Schilling, College Math. J. 1990), from c(0) = 1 and c(m) = 2^(m-1) for
+    1 <= m <= x, below x = n // 2 and a closed form from there.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _compositions(n, x, _first_compositions(min(x + 1, n - x)))
-
-
-def _first_compositions(terms: int) -> list[int]:
-    """``terms`` counts 1, 1, 2, 4, ...: c(m) for m <= x, which the part bound x does not reach."""
-    return [1] + [1 << m for m in range(terms - 1)]
-
-
-def _compositions(n: int, x: int, firsts: list[int]) -> int:
-    if n <= x:
-        return 1 << (n - 1) if n else 1
-    # step m reads c(m-1-x), and m-1-x <= n-1-x: the window starts with
-    # c(0..x), or only c(0..n-1-x) when x >= (n-1)/2; appended terms follow
-    window = deque(firsts[: min(x + 1, n - x)])
-    last = 1 << (x - 1)  # c(x)
-    for _ in range(n - x):
-        last = (last << 1) - window.popleft()
-        window.append(last)
-    return last
+    return _count_below(n, x) >> 1 if n else 1
 
 
 def _count_below(n: int, x: int, firsts: list[int] | None = None) -> int:
@@ -63,9 +45,16 @@ def _count_below(n: int, x: int, firsts: list[int] | None = None) -> int:
     other sign at n - x - 1."""
     if not 0 < x < n:
         return 0 if x <= 0 else 1 << n
-    if x < n // 2:
-        return _compositions(n, x, _first_compositions(x + 1) if firsts is None else firsts) << 1
-    return (1 << n) - ((n - x + 1) << (n - x - 1))
+    if x >= n // 2:
+        return (1 << n) - ((n - x + 1) << (n - x - 1))
+    # step m reads c(m-1-x), and m-1-x <= n-1-x: the window holds c(0..x), x + 1 <= n - x
+    # terms, and the appended ones follow
+    window = deque(([1] + [1 << m for m in range(x)]) if firsts is None else firsts[: x + 1])
+    last = 1 << (x - 1)  # c(x)
+    for _ in range(n - x):
+        last = (last << 1) - window.popleft()
+        window.append(last)
+    return last << 1
 
 
 class ProbabilityTable(NamedTuple):
@@ -109,7 +98,7 @@ def null_table_by_counting(n: int) -> ProbabilityTable:
     """Null pmf via bounded-run counting (authoritative engine), not through ``below``'s cache."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    firsts = _first_compositions(n // 2)  # one window start: x + 1 terms for any x < n // 2
+    firsts = [1] + [1 << m for m in range(n // 2 - 1)]  # c(0..n//2-1), shared by every x < n // 2
     return ProbabilityTable(n=n, below=tuple(_count_below(n, x, firsts) for x in range(n + 1)))
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -584,6 +585,19 @@ class TestGaussianShift:
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             p_from_gaussian_shift(1.0, 0.0)
+
+    @pytest.mark.parametrize("c, sigma, message", [
+        (1.0, math.nan, "sigma must be positive"),
+        (math.nan, 1.0, "c/sigma = nan/1.0 is not a number"),
+        (math.inf, math.inf, "c/sigma = inf/inf is not a number"),
+    ])
+    def test_a_nan_sigma_or_c_over_sigma_is_refused(self, c, sigma, message, monkeypatch):
+        def refuse(z):
+            raise AssertionError(f"ncdf({z}) was called")
+
+        monkeypatch.setattr(mpmath, "ncdf", refuse)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            p_from_gaussian_shift(c, sigma)
 
     def test_p_unchanged_where_phi_is_below_one(self):
         # the 1 - Phi(-c/sigma) path runs only where Phi(c/sigma) rounds to 1

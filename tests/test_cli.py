@@ -346,6 +346,32 @@ class TestIngest:
                 "pipe": lambda: io.TextIOWrapper(Pipe(data), **cli.TEXT)}[via]
         assert ingest_outcome(ingest, make) == ingest_outcome(row_loop_ingest, make)
 
+    @pytest.mark.parametrize("data, split", [
+        (b"x,residual\n2,0.25\n0,0.5\n1,-0.5\n", True),
+        (b'x,residual,note\n2,0.25,d\n0,0.5,"a,b"\n1,-0.5,c\n', False),
+    ], ids=["split", "quoted"])
+    def test_a_path_object_reads_as_its_string(self, data, split, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+        assert (cli._split(data.decode()) is not None) == split
+        got = ingest(path)
+        assert got == ingest(str(path)) and got[0].residuals == (0.5, -0.5, 0.25)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+    def test_a_named_pipe_reads_as_a_file(self, tmp_path):
+        # a path that cannot seek, as `longrun test -i <(...)` passes: its text is decoded again
+        data = b'x,residual,note\n2,0.25,d\n0,0.5,"a,b"\n1,-0.5,c\n'
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+        r, w = os.pipe()
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        try:
+            got = ingest(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert got == ingest(str(path))
+
     @pytest.mark.parametrize("via", ["path", "pipe"])
     def test_utf8_text_never_reaches_the_csv_reader(self, via, tmp_path, monkeypatch):
         data = "\ufeffx,residual,not\u00e9\n0,0.5,caf\u00e9\n1,-0.5,\u65e5\u672c\n".encode()
@@ -722,7 +748,7 @@ class TestCommands:
         ("-1e300", "c/sigma = -1.0e+300 is below -2^512"),
         ("inf", "p must lie strictly between 0 and 1"),
         ("-inf", "p must lie strictly between 0 and 1"),
-        ("nan", "p must lie strictly between 0 and 1"),
+        ("nan", "c/sigma = nan/1.0 is not a number"),
         ("302", "p must lie strictly between 0 and 1"),  # 1 - p below 2^-TAIL_BITS
     ])
     def test_power_with_an_extreme_shift_is_a_config_error(self, capsys, shift, message):
@@ -733,6 +759,16 @@ class TestCommands:
         assert (code, out) == (EXIT_CONFIG, "")
         assert len(err.splitlines()) == 1 and message in err
 
+    @pytest.mark.parametrize("shift, sigma, message", [
+        ("1", "nan", "sigma must be positive"),  # a nan shift is among the extreme shifts above
+        ("inf", "inf", "c/sigma = inf/inf is not a number"),
+    ])
+    def test_a_nan_c_over_sigma_names_its_flags(self, capsys, shift, sigma, message):
+        code, out, err = run_cli(
+            capsys, "power", "--n", "50", "--alpha", "1/20", "--shift", shift, "--sigma", sigma,
+        )
+        assert (code, out, err) == (EXIT_CONFIG, "", f"longrun: error: {message}\n")
+
     @pytest.mark.parametrize("shift", ["-2e-1", "-1E+0"])
     def test_a_negative_shift_in_exponent_form_is_a_value(self, capsys, shift):
         # argparse before Python 3.13 reads "-2e-1" as a flag unless it follows "="
@@ -742,13 +778,17 @@ class TestCommands:
         assert out == run_cli(capsys, *argv, f"--shift={shift}")[1]
         assert json.loads(out)["c"] == float(shift)
 
-    @pytest.mark.parametrize("shift", ["-inf", "-nan", "-Infinity"])
-    def test_a_negative_infinity_or_nan_shift_is_a_value(self, capsys, shift):
+    @pytest.mark.parametrize("shift, message", [
+        ("-inf", "p must lie strictly between 0 and 1"),
+        ("-nan", "c/sigma = nan/1.0 is not a number"),
+        ("-Infinity", "p must lie strictly between 0 and 1"),
+    ])
+    def test_a_negative_infinity_or_nan_shift_is_a_value(self, capsys, shift, message):
         # argparse read "-inf" as a flag: "argument --shift: expected one argument"
         argv = ["power", "--n", "5", "--alpha", "1/20", "--sigma", "1"]
         code, out, err = run_cli(capsys, *argv, "--shift", shift)
         assert (code, out) == (EXIT_CONFIG, "")
-        assert err == "longrun: error: p must lie strictly between 0 and 1\n"
+        assert err == f"longrun: error: {message}\n"
         assert (code, out, err) == run_cli(capsys, *argv, f"--shift={shift}")
 
     def test_a_negative_infinite_alpha_is_an_invalid_value(self, capsys):
